@@ -24,9 +24,10 @@
 //!   per-symbol scans of the product/determinization constructions are
 //!   index lookups instead of full-table filters.
 //!
-//! Fixpoints ([`Dfta::reachable`], [`Dfta::witnesses`]) are worklist
-//! algorithms with per-rule pending-argument counters: `O(|Δ| · arity)`
-//! total, instead of rescanning the whole table once per round.
+//! Fixpoints ([`Dfta::reachable_guarded`],
+//! [`Dfta::witnesses_guarded`]) are worklist algorithms with per-rule
+//! pending-argument counters: `O(|Δ| · arity)` total, instead of
+//! rescanning the whole table once per round.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -118,7 +119,7 @@ struct Rule {
 /// ```
 /// A product automaton together with the map from live state pairs of
 /// the operands to the states of the product — the return shape of
-/// [`Dfta::product_seeded`] and friends.
+/// [`Dfta::product_guarded`].
 pub type ProductWithMap = (Dfta, BTreeMap<(StateId, StateId), StateId>);
 
 #[derive(Debug, Clone, Default)]
@@ -508,21 +509,11 @@ impl Dfta {
     /// ground constructor term `t`.
     ///
     /// Worklist with per-rule pending-argument counters: `O(|Δ|·arity)`
-    /// total work, instead of one full table scan per round.
-    pub fn reachable(&self) -> BTreeSet<StateId> {
-        self.reachable_inner(None)
-            .expect("unguarded fixpoint cannot be cancelled")
-    }
-
-    /// Cancellable [`Dfta::reachable`]: polls `guard` between worklist
-    /// pops and returns `None` (discarding the partial fixpoint) once
-    /// it trips.
+    /// total work, instead of one full table scan per round. Polls
+    /// `guard` between worklist pops and returns `None` (discarding the
+    /// partial fixpoint) once it trips.
     pub fn reachable_guarded(&self, guard: &Guard) -> Option<BTreeSet<StateId>> {
-        self.reachable_inner(Some(guard))
-    }
-
-    fn reachable_inner(&self, guard: Option<&Guard>) -> Option<BTreeSet<StateId>> {
-        let mut poller = guard.map(Poller::new);
+        let mut poller = Poller::new(guard);
         let mut reached = vec![false; self.state_count()];
         let (mut pending, occ) = self.rule_dependencies();
         let mut stack: Vec<StateId> = Vec::new();
@@ -533,10 +524,8 @@ impl Dfta {
             }
         }
         while let Some(s) = stack.pop() {
-            if let Some(p) = poller.as_mut() {
-                if p.poll() {
-                    return None;
-                }
+            if poller.poll() {
+                return None;
             }
             for &ri in &occ[s.index()] {
                 pending[ri as usize] -= 1;
@@ -565,20 +554,10 @@ impl Dfta {
     /// Breadth-first worklist: states are discovered in non-decreasing
     /// witness height, so the first rule to complete for a state yields
     /// a minimum-height witness. `O(|Δ|·arity)` plus term construction.
-    pub fn witnesses(&self) -> Vec<Option<GroundTerm>> {
-        self.witnesses_inner(None)
-            .expect("unguarded fixpoint cannot be cancelled")
-    }
-
-    /// Cancellable [`Dfta::witnesses`]: polls `guard` between worklist
-    /// pops and returns `None` (discarding partial witnesses) once it
-    /// trips.
+    /// Polls `guard` between worklist pops and returns `None`
+    /// (discarding partial witnesses) once it trips.
     pub fn witnesses_guarded(&self, guard: &Guard) -> Option<Vec<Option<GroundTerm>>> {
-        self.witnesses_inner(Some(guard))
-    }
-
-    fn witnesses_inner(&self, guard: Option<&Guard>) -> Option<Vec<Option<GroundTerm>>> {
-        let mut poller = guard.map(Poller::new);
+        let mut poller = Poller::new(guard);
         let mut wit: Vec<Option<GroundTerm>> = vec![None; self.state_count()];
         let (mut pending, occ) = self.rule_dependencies();
         let mut queue: VecDeque<StateId> = VecDeque::new();
@@ -605,10 +584,8 @@ impl Dfta {
             }
         }
         while let Some(s) = queue.pop_front() {
-            if let Some(p) = poller.as_mut() {
-                if p.poll() {
-                    return None;
-                }
+            if poller.poll() {
+                return None;
             }
             for &ri in &occ[s.index()] {
                 pending[ri as usize] -= 1;
@@ -687,42 +664,30 @@ impl Dfta {
     /// ground `t`), instead of the full `|S₁|·|S₂|` square. Returns the
     /// product and the mapping `(left, right) → product state`; pairs no
     /// ground term reaches are absent from the map.
-    pub fn product(&self, other: &Dfta) -> (Dfta, BTreeMap<(StateId, StateId), StateId>) {
-        self.product_seeded(other, &[])
-    }
-
-    /// [`Dfta::product`] whose worklist starts from `seed` pairs instead
-    /// of only the nullary-rule pairs — the incremental restart used by
-    /// [`crate::store::AutStore`] when an operand has merely *grown*
-    /// (states appended, rules added) since a previous product.
     ///
-    /// Every seeded pair is materialized up front, so seeding with
-    /// known-reachable pairs of a previous run yields the same pair set
-    /// as a cold run without re-deriving those pairs bottom-up. Seeding
-    /// pairs that are *not* product-reachable is still language-safe
-    /// (every emitted rule remains a correct componentwise step; the
-    /// extra states are unreachable) but enlarges the output, so callers
-    /// should only seed pairs known to stay reachable. Out-of-range
-    /// seed pairs are ignored.
-    pub fn product_seeded(&self, other: &Dfta, seed: &[(StateId, StateId)]) -> ProductWithMap {
-        self.product_seeded_inner(other, seed, None)
-            .expect("unguarded fixpoint cannot be cancelled")
-    }
-
-    /// Cancellable [`Dfta::product_seeded`]: polls `guard` during the
-    /// rule-pair enumeration and between worklist pops, returning
-    /// `None` (discarding the partial product) once it trips.
-    pub fn product_guarded(&self, other: &Dfta, guard: &Guard) -> Option<ProductWithMap> {
-        self.product_seeded_inner(other, &[], Some(guard))
-    }
-
-    fn product_seeded_inner(
+    /// The worklist starts from the nullary-rule pairs plus `seed` — the
+    /// incremental restart used by [`crate::store::AutStore`] when an
+    /// operand has merely *grown* (states appended, rules added) since a
+    /// previous product. Every seeded pair is materialized up front, so
+    /// seeding with known-reachable pairs of a previous run yields the
+    /// same pair set as a cold (`seed = &[]`) run without re-deriving
+    /// those pairs bottom-up. Seeding pairs that are *not*
+    /// product-reachable is still language-safe (every emitted rule
+    /// remains a correct componentwise step; the extra states are
+    /// unreachable) but enlarges the output, so callers should only seed
+    /// pairs known to stay reachable. Out-of-range seed pairs are
+    /// ignored.
+    ///
+    /// Polls `guard` during the rule-pair enumeration and between
+    /// worklist pops, returning `None` (discarding the partial product)
+    /// once it trips.
+    pub fn product_guarded(
         &self,
         other: &Dfta,
         seed: &[(StateId, StateId)],
-        guard: Option<&Guard>,
+        guard: &Guard,
     ) -> Option<ProductWithMap> {
-        let mut poller = guard.map(Poller::new);
+        let mut poller = Poller::new(guard);
         let mut out = Dfta::new();
         let mut map: FxHashMap<(StateId, StateId), StateId> = FxHashMap::default();
 
@@ -740,10 +705,8 @@ impl Dfta {
         let shared_funcs = self.by_func.len().min(other.by_func.len());
         for f in 0..shared_funcs {
             for &ra in &self.by_func[f] {
-                if let Some(p) = poller.as_mut() {
-                    if p.poll() {
-                        return None;
-                    }
+                if poller.poll() {
+                    return None;
                 }
                 for &rb in &other.by_func[f] {
                     let a = &self.rules[ra as usize];
@@ -812,10 +775,8 @@ impl Dfta {
             );
         }
         while let Some(pair) = queue.pop() {
-            if let Some(p) = poller.as_mut() {
-                if p.poll() {
-                    return None;
-                }
+            if poller.poll() {
+                return None;
             }
             let Some(deps) = occ.remove(&pair) else {
                 continue;
@@ -1149,10 +1110,10 @@ mod tests {
         let nat = a.sort_of(s0);
         let dead = a.add_state(nat);
         a.add_transition(s, vec![dead], dead);
-        let reach = a.reachable();
+        let reach = a.reachable_guarded(&Guard::new()).unwrap();
         assert!(reach.contains(&s0) && reach.contains(&s1));
         assert!(!reach.contains(&dead));
-        let wit = a.witnesses();
+        let wit = a.witnesses_guarded(&Guard::new()).unwrap();
         assert_eq!(wit[s0.index()].as_ref().map(GroundTerm::size), Some(1));
         assert_eq!(wit[s1.index()].as_ref().map(GroundTerm::size), Some(2));
         assert_eq!(wit[dead.index()], None);
@@ -1174,14 +1135,18 @@ mod tests {
         let z2 = z; // same symbol, different LHS is impossible — use sort trick
         let _ = z2;
         assert_eq!(
-            a.witnesses()[q2.index()].as_ref().map(GroundTerm::size),
+            a.witnesses_guarded(&Guard::new()).unwrap()[q2.index()]
+                .as_ref()
+                .map(GroundTerm::size),
             Some(3)
         );
         let extra = b.add_state(nat);
         b.add_transition(s, vec![extra], q2);
         // extra is unreachable, so q2's witness is unchanged.
         assert_eq!(
-            b.witnesses()[q2.index()].as_ref().map(GroundTerm::size),
+            b.witnesses_guarded(&Guard::new()).unwrap()[q2.index()]
+                .as_ref()
+                .map(GroundTerm::size),
             Some(3)
         );
     }
@@ -1218,7 +1183,7 @@ mod tests {
         b.add_transition(s, vec![t1], t2);
         b.add_transition(s, vec![t2], t0);
         let (_sig_e, a, s0, _s1, ..) = even_dfta();
-        let (p, map) = a.product(&b);
+        let (p, map) = a.product_guarded(&b, &[], &Guard::new()).unwrap();
         assert_eq!(p.state_count(), 6);
         for n in 0..12u32 {
             let t = GroundTerm::iterate(s, GroundTerm::leaf(z), n as usize);
@@ -1234,7 +1199,7 @@ mod tests {
         // even × even: of the 4 sort-compatible pairs only the diagonal
         // is reachable (a term cannot be even and odd at once).
         let (_sig, a, s0, s1, ..) = even_dfta();
-        let (p, map) = a.product(&a);
+        let (p, map) = a.product_guarded(&a, &[], &Guard::new()).unwrap();
         assert_eq!(p.state_count(), 2);
         assert!(map.contains_key(&(s0, s0)) && map.contains_key(&(s1, s1)));
         assert!(!map.contains_key(&(s0, s1)));

@@ -13,7 +13,7 @@
 //!   [`TupleAutomaton`]s interned behind dense ids by canonical
 //!   structural fingerprint, with memoized Boolean operations and
 //!   pair-map-seeded incremental products (the layer the solver loops
-//!   route through; `RINGEN_AUT_CACHE=0` forces pass-through);
+//!   route through);
 //! * [`reference`] — the original ordered-map kernel, kept as the
 //!   executable specification for differential tests and as the
 //!   baseline the micro-benchmarks measure speedups against.
@@ -40,13 +40,13 @@
 //!   interned in a [`ringen_terms::TermPool`], [`Dfta::run_pooled`]
 //!   memoizes by dense [`ringen_terms::TermId`] in a plain vector
 //!   ([`PoolRunCache`]): no hashing at all on a cache hit;
-//! * [`Dfta::reachable`] and [`Dfta::witnesses`] are worklist fixpoints
-//!   with per-rule pending-argument counters — `O(|Δ|·arity)` total
-//!   instead of a full table rescan per round — and `witnesses`
-//!   discovers states in breadth-first order so every witness has
-//!   minimum height;
-//! * [`Dfta::product`] interns only *product-reachable* state pairs via
-//!   a worklist over rule pairs, so intersection/union never
+//! * [`Dfta::reachable_guarded`] and [`Dfta::witnesses_guarded`] are
+//!   worklist fixpoints with per-rule pending-argument counters —
+//!   `O(|Δ|·arity)` total instead of a full table rescan per round —
+//!   and the witness fixpoint discovers states in breadth-first order
+//!   so every witness has minimum height;
+//! * [`Dfta::product_guarded`] interns only *product-reachable* state
+//!   pairs via a worklist over rule pairs, so intersection/union never
 //!   materialize the `|S₁|·|S₂|` square, and
 //!   [`TupleAutomaton::minimized`] refines partitions with single
 //!   passes over the flat rule table.

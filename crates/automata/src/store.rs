@@ -31,16 +31,17 @@
 //!   rules a superset — the shape of a CEGAR-style refinement). A
 //!   product miss walks the two operands' `grew_from` ancestor chains
 //!   and restarts the worklist from the first ancestor pair with a
-//!   cached map via [`Dfta::product_seeded`] instead of from the
-//!   nullary rules — an O(1) bounded probe of the memo table, with the
-//!   rule-subset check paid once per intern rather than once per miss.
+//!   cached map (the `seed` of [`Dfta::product_guarded`]) instead of
+//!   from the nullary rules — an O(1) bounded probe of the memo table,
+//!   with the rule-subset check paid once per intern rather than once
+//!   per miss.
 //!   Grown operands keep old reachable pairs reachable (runs of a
 //!   deterministic automaton are unchanged by new rules, which always
 //!   carry fresh left-hand sides), and `grew_from` is transitive, so
 //!   the seeded restart computes the same pair set.
-//! * **Derived-analysis caches.** [`AutStore::reachable`] and
-//!   [`AutStore::witnesses`] memoize the per-automaton fixpoints the
-//!   inductiveness check runs, and [`AutStore::joint_reachable`] /
+//! * **Derived-analysis caches.** [`AutStore::reachable_guarded`] and
+//!   [`AutStore::witnesses_guarded`] memoize the per-automaton
+//!   fixpoints the inductiveness check runs, and [`AutStore::joint_reachable`] /
 //!   [`AutStore::joint_counts`] memoize the joint-realizability
 //!   products of the `RegElem` decision procedure's layer 4/5, keyed
 //!   on the exact [`DftaId`] list plus the budget.
@@ -56,15 +57,9 @@
 //! intern with a new id; stale results cannot be observed because the
 //! old id still denotes the old value.
 //!
-//! # Pass-through mode
-//!
-//! Setting the environment variable `RINGEN_AUT_CACHE=0` (read by
-//! [`AutStore::new`]; [`AutStore::with_cache`] selects explicitly)
-//! forces the store into *pass-through* mode: interning appends without
-//! deduplication, every operation calls the corresponding free kernel
-//! function directly, and no memo table is consulted or filled. The
-//! results are bit-identical to calling the free operations — the mode
-//! CI uses to pin the cached algebra to its uncached semantics.
+//! The free operations of [`TupleAutomaton`] and [`Dfta`] stay the
+//! semantics the store must reproduce; the `store_prop` differential
+//! tests pin every memoized operation to the reference kernel.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::Hasher;
@@ -155,7 +150,6 @@ const SEED_CANDIDATES: usize = 8;
 /// `Default` is [`AutStore::new`].
 #[derive(Debug)]
 pub struct AutStore {
-    enabled: bool,
     /// Process-unique token distinguishing this store's id space from
     /// every other store's (see [`AutStore::token`]).
     token: u64,
@@ -268,20 +262,10 @@ fn grew_from(new: &Dfta, old: &Dfta) -> bool {
 }
 
 impl AutStore {
-    /// A store honoring the `RINGEN_AUT_CACHE` environment variable
-    /// (`0` forces [pass-through mode](self#pass-through-mode); unset or
-    /// anything else enables the caches).
+    /// An empty store.
     pub fn new() -> AutStore {
-        let enabled = std::env::var("RINGEN_AUT_CACHE").map_or(true, |v| v.trim() != "0");
-        AutStore::with_cache(enabled)
-    }
-
-    /// A store with the caches explicitly on or off (off = pass-through
-    /// mode, bit-identical to the free kernel operations).
-    pub fn with_cache(enabled: bool) -> AutStore {
         static NEXT_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         AutStore {
-            enabled,
             token: NEXT_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             auts: Vec::new(),
             aut_dfta: Vec::new(),
@@ -300,11 +284,6 @@ impl AutStore {
             joint_counts: FxHashMap::default(),
             stats: StoreStats::default(),
         }
-    }
-
-    /// Whether the caches are active (false = pass-through mode).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// A process-unique token for this store. Ids ([`AutId`] /
@@ -371,22 +350,18 @@ impl AutStore {
     /// [`AutStore::intern`] from an existing shared handle (no clone
     /// when the value is new).
     pub fn intern_arc(&mut self, aut: Arc<TupleAutomaton>) -> AutId {
-        if self.enabled {
-            let fp = tuple_fingerprint(&aut);
-            if let Some(ids) = self.aut_index.get(&fp) {
-                for &i in ids {
-                    if *self.auts[i as usize] == *aut {
-                        self.stats.dedup_hits += 1;
-                        return AutId(i);
-                    }
+        let fp = tuple_fingerprint(&aut);
+        if let Some(ids) = self.aut_index.get(&fp) {
+            for &i in ids {
+                if *self.auts[i as usize] == *aut {
+                    self.stats.dedup_hits += 1;
+                    return AutId(i);
                 }
             }
-            let id = self.push_aut(aut);
-            self.aut_index.entry(fp).or_default().push(id.0);
-            id
-        } else {
-            self.push_aut(aut)
         }
+        let id = self.push_aut(aut);
+        self.aut_index.entry(fp).or_default().push(id.0);
+        id
     }
 
     fn push_aut(&mut self, aut: Arc<TupleAutomaton>) -> AutId {
@@ -405,45 +380,35 @@ impl AutStore {
 
     /// [`AutStore::intern_dfta`] from an existing shared handle.
     pub fn intern_dfta_arc(&mut self, dfta: Arc<Dfta>) -> DftaId {
-        if self.enabled {
-            let fp = dfta_fingerprint(&dfta);
-            if let Some(ids) = self.dfta_index.get(&fp) {
-                for &i in ids {
-                    if *self.dftas[i as usize] == *dfta {
-                        self.stats.dedup_hits += 1;
-                        return DftaId(i);
-                    }
+        let fp = dfta_fingerprint(&dfta);
+        if let Some(ids) = self.dfta_index.get(&fp) {
+            for &i in ids {
+                if *self.dftas[i as usize] == *dfta {
+                    self.stats.dedup_hits += 1;
+                    return DftaId(i);
                 }
             }
-            let id = self.push_dfta(dfta);
-            self.dfta_index.entry(fp).or_default().push(id.0);
-            id
-        } else {
-            self.push_dfta(dfta)
         }
+        let id = self.push_dfta(dfta);
+        self.dfta_index.entry(fp).or_default().push(id.0);
+        id
     }
 
     fn push_dfta(&mut self, dfta: Arc<Dfta>) -> DftaId {
         let i = u32::try_from(self.dftas.len()).expect("table count fits u32");
         // Lineage is recorded once, here: the newest recently interned
-        // table the new one grew from, if any. Pass-through mode skips
-        // the scan (its products never seed).
-        let ancestor = if self.enabled {
-            self.recent_interns
-                .iter()
-                .rev()
-                .copied()
-                .find(|&old| grew_from(&dfta, &self.dftas[old as usize]))
-        } else {
-            None
-        };
+        // table the new one grew from, if any.
+        let ancestor = self
+            .recent_interns
+            .iter()
+            .rev()
+            .copied()
+            .find(|&old| grew_from(&dfta, &self.dftas[old as usize]));
         self.dftas.push(dfta);
         self.lineage.push(ancestor);
-        if self.enabled {
-            self.recent_interns.push_back(i);
-            if self.recent_interns.len() > SEED_CANDIDATES {
-                self.recent_interns.pop_front();
-            }
+        self.recent_interns.push_back(i);
+        if self.recent_interns.len() > SEED_CANDIDATES {
+            self.recent_interns.pop_front();
         }
         self.stats.interned_dftas = self.dftas.len();
         DftaId(i)
@@ -466,44 +431,6 @@ impl AutStore {
         chain
     }
 
-    /// Memoized [`Dfta::product`], with grown-operand seeding on a
-    /// miss. Returns the interned product table and the shared pair
-    /// map.
-    pub fn product(&mut self, a: DftaId, b: DftaId) -> (DftaId, Arc<PairMap>) {
-        if !self.enabled {
-            let (d, m) = self.dftas[a.index()].product(&self.dftas[b.index()]);
-            return (self.push_dfta(Arc::new(d)), Arc::new(m));
-        }
-        if let Some((id, map)) = self.products.get(&(a.0, b.0)) {
-            self.stats.memo_hits += 1;
-            return (*id, map.clone());
-        }
-        self.stats.memo_misses += 1;
-        // Re-seed lookup: walk the operands' `grew_from` ancestor
-        // chains (recorded at intern time — no rule-subset check here)
-        // and take the first ancestor pair whose product is cached.
-        // `grew_from` is transitive along a chain, so any such pair's
-        // reachable set is a valid seed.
-        let mut seed: Vec<(StateId, StateId)> = Vec::new();
-        'chains: for &pa in &self.ancestor_chain(a.0) {
-            for &pb in &self.ancestor_chain(b.0) {
-                if (pa, pb) == (a.0, b.0) {
-                    continue;
-                }
-                if let Some((_, map)) = self.products.get(&(pa, pb)) {
-                    seed = map.keys().copied().collect();
-                    self.stats.seeded_products += 1;
-                    break 'chains;
-                }
-            }
-        }
-        let (d, m) = self.dftas[a.index()].product_seeded(&self.dftas[b.index()], &seed);
-        let id = self.intern_dfta(d);
-        let map = Arc::new(m);
-        self.products.insert((a.0, b.0), (id, map.clone()));
-        (id, map)
-    }
-
     /// Memoized [`TupleAutomaton::intersection`], driven by the
     /// store's (seedable) product so repeated intersections over a
     /// shared transition table reuse one pair map.
@@ -512,16 +439,18 @@ impl AutStore {
     ///
     /// Panics on arity/sort mismatch (as the free operation does).
     pub fn intersection(&mut self, a: AutId, b: AutId) -> AutId {
-        if !self.enabled {
-            let out = self.auts[a.index()].intersection(&self.auts[b.index()]);
-            return self.push_aut(Arc::new(out));
-        }
         if let Some(&r) = self.binary.get(&(BinOp::Intersection, a.0, b.0)) {
             self.stats.memo_hits += 1;
             return AutId(r);
         }
         self.stats.memo_misses += 1;
-        let (pd, map) = self.product(self.aut_dfta[a.index()], self.aut_dfta[b.index()]);
+        let (pd, map) = self
+            .product_guarded(
+                self.aut_dfta[a.index()],
+                self.aut_dfta[b.index()],
+                &Guard::new(),
+            )
+            .expect("an unarmed guard never trips");
         let left = self.auts[a.index()].clone();
         let right = self.auts[b.index()].clone();
         assert_eq!(
@@ -553,10 +482,6 @@ impl AutStore {
     ///
     /// Panics on arity/sort mismatch.
     pub fn union(&mut self, a: AutId, b: AutId, sig: &Signature) -> AutId {
-        if !self.enabled {
-            let out = self.auts[a.index()].union(&self.auts[b.index()], sig);
-            return self.push_aut(Arc::new(out));
-        }
         if let Some(&r) = self.binary.get(&(BinOp::Union, a.0, b.0)) {
             self.stats.memo_hits += 1;
             return AutId(r);
@@ -588,10 +513,6 @@ impl AutStore {
         a: AutId,
         f: impl FnOnce(&TupleAutomaton) -> TupleAutomaton,
     ) -> AutId {
-        if !self.enabled {
-            let out = f(&self.auts[a.index()]);
-            return self.push_aut(Arc::new(out));
-        }
         if let Some(&r) = self.unary.get(&(op, a.0)) {
             self.stats.memo_hits += 1;
             return AutId(r);
@@ -611,10 +532,6 @@ impl AutStore {
     /// Panics under the free operation's conditions (empty automaton,
     /// mixed-sort finals).
     pub fn determinized(&mut self, n: &Nfta) -> AutId {
-        if !self.enabled {
-            let out = n.determinize();
-            return self.push_aut(Arc::new(out));
-        }
         let fp = nfta_fingerprint(n);
         if let Some(entries) = self.determinized.get(&fp) {
             if let Some((_, id)) = entries.iter().find(|(input, _)| input == n) {
@@ -631,37 +548,7 @@ impl AutStore {
         r
     }
 
-    /// Memoized [`Dfta::reachable`].
-    pub fn reachable(&mut self, d: DftaId) -> Arc<BTreeSet<StateId>> {
-        if !self.enabled {
-            return Arc::new(self.dftas[d.index()].reachable());
-        }
-        if let Some(r) = self.reach.get(&d.0) {
-            self.stats.memo_hits += 1;
-            return r.clone();
-        }
-        self.stats.memo_misses += 1;
-        let r = Arc::new(self.dftas[d.index()].reachable());
-        self.reach.insert(d.0, r.clone());
-        r
-    }
-
-    /// Memoized [`Dfta::witnesses`].
-    pub fn witnesses(&mut self, d: DftaId) -> Arc<Vec<Option<GroundTerm>>> {
-        if !self.enabled {
-            return Arc::new(self.dftas[d.index()].witnesses());
-        }
-        if let Some(w) = self.wits.get(&d.0) {
-            self.stats.memo_hits += 1;
-            return w.clone();
-        }
-        self.stats.memo_misses += 1;
-        let w = Arc::new(self.dftas[d.index()].witnesses());
-        self.wits.insert(d.0, w.clone());
-        w
-    }
-
-    /// Cancellable [`AutStore::reachable`]. A memo hit returns the
+    /// Memoized [`Dfta::reachable_guarded`]. A memo hit returns the
     /// (complete) cached set even under a tripped guard; a miss runs
     /// the guarded fixpoint and, on cancellation, returns `None`
     /// *without* memoizing — the store never caches a partial result,
@@ -675,11 +562,9 @@ impl AutStore {
         d: DftaId,
         guard: &Guard,
     ) -> Option<Arc<BTreeSet<StateId>>> {
-        if self.enabled {
-            if let Some(r) = self.reach.get(&d.0) {
-                self.stats.memo_hits += 1;
-                return Some(r.clone());
-            }
+        if let Some(r) = self.reach.get(&d.0) {
+            self.stats.memo_hits += 1;
+            return Some(r.clone());
         }
         let mut span = guard.recorder().span("aut.reachable");
         span.note("states", self.dftas[d.index()].state_count() as i64);
@@ -687,25 +572,21 @@ impl AutStore {
             span.note_str("outcome", "interrupted");
             return None;
         };
-        if self.enabled {
-            self.stats.memo_misses += 1;
-            self.reach.insert(d.0, r.clone());
-        }
+        self.stats.memo_misses += 1;
+        self.reach.insert(d.0, r.clone());
         Some(r)
     }
 
-    /// Cancellable [`AutStore::witnesses`]; same memo contract as
+    /// Memoized [`Dfta::witnesses_guarded`]; same memo contract as
     /// [`AutStore::reachable_guarded`].
     pub fn witnesses_guarded(
         &mut self,
         d: DftaId,
         guard: &Guard,
     ) -> Option<Arc<Vec<Option<GroundTerm>>>> {
-        if self.enabled {
-            if let Some(w) = self.wits.get(&d.0) {
-                self.stats.memo_hits += 1;
-                return Some(w.clone());
-            }
+        if let Some(w) = self.wits.get(&d.0) {
+            self.stats.memo_hits += 1;
+            return Some(w.clone());
         }
         let mut span = guard.recorder().span("aut.witnesses");
         span.note("states", self.dftas[d.index()].state_count() as i64);
@@ -713,35 +594,22 @@ impl AutStore {
             span.note_str("outcome", "interrupted");
             return None;
         };
-        if self.enabled {
-            self.stats.memo_misses += 1;
-            self.wits.insert(d.0, w.clone());
-        }
+        self.stats.memo_misses += 1;
+        self.wits.insert(d.0, w.clone());
         Some(w)
     }
 
-    /// Cancellable [`AutStore::product`]; same memo contract as
-    /// [`AutStore::reachable_guarded`] (a cancelled product is not
-    /// interned and not recorded as a seed candidate).
+    /// Memoized [`Dfta::product_guarded`], with grown-operand seeding on
+    /// a miss. Returns the interned product table and the shared pair
+    /// map. Same memo contract as [`AutStore::reachable_guarded`]: a
+    /// cancelled product is not interned, not counted, and not recorded
+    /// as a seed candidate.
     pub fn product_guarded(
         &mut self,
         a: DftaId,
         b: DftaId,
         guard: &Guard,
     ) -> Option<(DftaId, Arc<PairMap>)> {
-        if !self.enabled {
-            let mut span = guard.recorder().span("aut.product");
-            span.note(
-                "states",
-                (self.dftas[a.index()].state_count() + self.dftas[b.index()].state_count()) as i64,
-            );
-            let Some((d, m)) = self.dftas[a.index()].product_guarded(&self.dftas[b.index()], guard)
-            else {
-                span.note_str("outcome", "interrupted");
-                return None;
-            };
-            return Some((self.push_dfta(Arc::new(d)), Arc::new(m)));
-        }
         if let Some((id, map)) = self.products.get(&(a.0, b.0)) {
             self.stats.memo_hits += 1;
             return Some((*id, map.clone()));
@@ -751,16 +619,36 @@ impl AutStore {
             "states",
             (self.dftas[a.index()].state_count() + self.dftas[b.index()].state_count()) as i64,
         );
-        let Some((d, m)) = self.dftas[a.index()].product_guarded(&self.dftas[b.index()], guard)
-        else {
+        // Re-seed lookup: walk the operands' `grew_from` ancestor
+        // chains (recorded at intern time — no rule-subset check here)
+        // and take the first ancestor pair whose product is cached.
+        // `grew_from` is transitive along a chain, so any such pair's
+        // reachable set is a valid seed.
+        let chain_b = self.ancestor_chain(b.0);
+        let seed: Option<Vec<(StateId, StateId)>> = self
+            .ancestor_chain(a.0)
+            .into_iter()
+            .find_map(|pa| {
+                chain_b
+                    .iter()
+                    .filter(|&&pb| (pa, pb) != (a.0, b.0))
+                    .find_map(|&pb| self.products.get(&(pa, pb)))
+            })
+            .map(|(_, map)| map.keys().copied().collect());
+        let Some((d, m)) = self.dftas[a.index()].product_guarded(
+            &self.dftas[b.index()],
+            seed.as_deref().unwrap_or_default(),
+            guard,
+        ) else {
             span.note_str("outcome", "interrupted");
             return None;
         };
         self.stats.memo_misses += 1;
+        if seed.is_some() {
+            self.stats.seeded_products += 1;
+        }
         let id = self.intern_dfta(d);
         let map = Arc::new(m);
-        // The memoized map is discoverable as a re-seed for later
-        // unguarded products through the ancestor-chain lookup.
         self.products.insert((a.0, b.0), (id, map.clone()));
         Some((id, map))
     }
@@ -775,9 +663,6 @@ impl AutStore {
         max_tuples: usize,
     ) -> Option<Arc<JointReach>> {
         let dftas: Vec<&Dfta> = ids.iter().map(|d| &*self.dftas[d.index()]).collect();
-        if !self.enabled {
-            return joint_reachable_products(sig, &dftas, max_tuples).map(Arc::new);
-        }
         let key = (ids.iter().map(|d| d.0).collect::<Vec<u32>>(), max_tuples);
         if let Some(r) = self.joint_reach.get(&key) {
             self.stats.memo_hits += 1;
@@ -798,9 +683,6 @@ impl AutStore {
         cap: usize,
     ) -> Arc<JointCounts> {
         let dftas: Vec<&Dfta> = ids.iter().map(|d| &*self.dftas[d.index()]).collect();
-        if !self.enabled {
-            return Arc::new(joint_member_counts(sig, &dftas, cap));
-        }
         let key = (ids.iter().map(|d| d.0).collect::<Vec<u32>>(), cap);
         if let Some(c) = self.joint_counts.get(&key) {
             self.stats.memo_hits += 1;
@@ -990,7 +872,7 @@ mod tests {
     #[test]
     fn guarded_fixpoints_cancel_without_polluting_the_memo() {
         let (_sig, a) = mod_k(3, &[0]);
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let ia = store.intern(a);
         let d = store.dfta_of(ia);
         // A tripped guard cancels the miss and memoizes nothing.
@@ -1006,21 +888,19 @@ mod tests {
         let r = store.reachable_guarded(d, &live).expect("uncancelled");
         assert_eq!(r.len(), 3);
         assert!(store.stats().memo_misses > misses_after_cancel);
-        // ...matching the unguarded fixpoint, and is now memoized: a
-        // memo hit is served even under a tripped guard (it is a
-        // complete result).
-        assert_eq!(*r, *store.reachable(d));
+        // ...and is now memoized: a memo hit is served even under a
+        // tripped guard (it is a complete result).
         assert_eq!(*store.reachable_guarded(d, &tripped).expect("memo hit"), *r);
         let (pd, _) = store.product_guarded(d, d, &live).expect("uncancelled");
-        let (pd2, _) = store.product(d, d);
-        assert_eq!(pd, pd2, "guarded product memoizes the same entry");
+        let (pd2, _) = store.product_guarded(d, d, &tripped).expect("memo hit");
+        assert_eq!(pd, pd2, "the product memoizes one entry");
     }
 
     #[test]
     fn intern_dedups_structurally_equal_automata() {
         let (_sig, a) = mod_k(2, &[0]);
         let (_sig2, b) = mod_k(2, &[0]);
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let ia = store.intern(a);
         let ib = store.intern(b);
         assert_eq!(ia, ib, "equal automata share one id");
@@ -1038,7 +918,7 @@ mod tests {
     fn warm_ops_are_memo_hits_returning_the_same_id() {
         let (sig, a) = mod_k(2, &[0]);
         let (_s2, b) = mod_k(3, &[0]);
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let (ia, ib) = (store.intern(a), store.intern(b));
         let cold = store.intersection(ia, ib);
         let misses = store.stats().memo_misses;
@@ -1062,7 +942,7 @@ mod tests {
     fn store_ops_agree_with_free_ops_on_the_language() {
         let (sig, a) = mod_k(2, &[0]);
         let (_s2, b) = mod_k(3, &[0, 2]);
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let (ia, ib) = (store.intern(a.clone()), store.intern(b.clone()));
         let inter = store.intersection(ia, ib);
         assert!(store.get(inter).agrees_with(&a.intersection(&b), &sig, 8));
@@ -1075,23 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_matches_free_ops_bit_for_bit() {
-        let (sig, a) = mod_k(2, &[0]);
-        let (_s2, b) = mod_k(3, &[0]);
-        let mut store = AutStore::with_cache(false);
-        assert!(!store.is_enabled());
-        let (ia, ib) = (store.intern(a.clone()), store.intern(b.clone()));
-        let inter = store.intersection(ia, ib);
-        assert_eq!(*store.get(inter), a.intersection(&b));
-        let min = store.minimized(ia, &sig);
-        assert_eq!(*store.get(min), a.minimized(&sig));
-        // No memoization: a repeated call constructs (and appends) anew.
-        let inter2 = store.intersection(ia, ib);
-        assert_ne!(inter, inter2);
-        assert_eq!(store.stats().memo_hits, 0);
-    }
-
-    #[test]
     fn grown_operands_seed_the_product_worklist() {
         let (sig, nat, z, s) = nat_signature();
         let mut d = Dfta::new();
@@ -1100,20 +963,20 @@ mod tests {
         d.add_transition(z, vec![], q0);
         d.add_transition(s, vec![q0], q1);
         d.add_transition(s, vec![q1], q0);
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let a = store.intern_dfta(d.clone());
-        let (_, cold_map) = store.product(a, a);
+        let (_, cold_map) = store.product_guarded(a, a, &Guard::new()).unwrap();
 
         // Grow the automaton: a new state and a rule into it.
         let mut d2 = d.clone();
         let q2 = d2.add_state(nat);
         let _ = q2;
         let a2 = store.intern_dfta(d2.clone());
-        let (pd, warm_map) = store.product(a2, a2);
+        let (pd, warm_map) = store.product_guarded(a2, a2, &Guard::new()).unwrap();
         assert_eq!(store.stats().seeded_products, 1);
         // The seeded pair set equals the cold pair set of the grown
         // operands.
-        let (cold_d, cold2) = d2.product(&d2);
+        let (cold_d, cold2) = d2.product_guarded(&d2, &[], &Guard::new()).unwrap();
         assert_eq!(
             warm_map.keys().collect::<Vec<_>>(),
             cold2.keys().collect::<Vec<_>>()
@@ -1135,9 +998,9 @@ mod tests {
         d.add_transition(z, vec![], q0);
         d.add_transition(s, vec![q0], q1);
         d.add_transition(s, vec![q1], q0);
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let a = store.intern_dfta(d.clone());
-        let _ = store.product(a, a);
+        let _ = store.product_guarded(a, a, &Guard::new()).unwrap();
 
         let mut d2 = d.clone();
         let q2 = d2.add_state(nat);
@@ -1147,9 +1010,9 @@ mod tests {
         d3.add_transition(s, vec![q2], q3);
         let a3 = store.intern_dfta(d3.clone());
         // No product was ever computed for a2; the seed comes from a's.
-        let (_, warm_map) = store.product(a3, a3);
+        let (_, warm_map) = store.product_guarded(a3, a3, &Guard::new()).unwrap();
         assert_eq!(store.stats().seeded_products, 1);
-        let (_, cold_map) = d3.product(&d3);
+        let (_, cold_map) = d3.product_guarded(&d3, &[], &Guard::new()).unwrap();
         assert_eq!(
             warm_map.keys().collect::<Vec<_>>(),
             cold_map.keys().collect::<Vec<_>>()
@@ -1170,7 +1033,7 @@ mod tests {
             n.add_final(pos);
             n
         };
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let d1 = store.determinized(&build());
         let hits = store.stats().memo_hits;
         let d2 = store.determinized(&build());
@@ -1181,14 +1044,14 @@ mod tests {
     #[test]
     fn reachable_and_witnesses_memoize() {
         let (_sig, a) = mod_k(3, &[0]);
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let ia = store.intern(a);
         let d = store.dfta_of(ia);
-        let r1 = store.reachable(d);
-        let r2 = store.reachable(d);
+        let r1 = store.reachable_guarded(d, &Guard::new()).unwrap();
+        let r2 = store.reachable_guarded(d, &Guard::new()).unwrap();
         assert!(Arc::ptr_eq(&r1, &r2));
-        let w1 = store.witnesses(d);
-        let w2 = store.witnesses(d);
+        let w1 = store.witnesses_guarded(d, &Guard::new()).unwrap();
+        let w2 = store.witnesses_guarded(d, &Guard::new()).unwrap();
         assert!(Arc::ptr_eq(&w1, &w2));
         assert_eq!(r1.len(), 3);
         assert_eq!(w1.len(), 3);

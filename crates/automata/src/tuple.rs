@@ -22,6 +22,7 @@ use std::hash::Hasher;
 
 use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 
+use ringen_parallel::Guard;
 use ringen_terms::intern::InternTable;
 use ringen_terms::{GroundTerm, Signature, SortId};
 
@@ -227,7 +228,10 @@ impl TupleAutomaton {
 
     /// A tuple of ground terms accepted by the automaton, if any.
     pub fn witness(&self) -> Option<Vec<GroundTerm>> {
-        let wit = self.dfta.witnesses();
+        let wit = self
+            .dfta
+            .witnesses_guarded(&Guard::new())
+            .expect("an unarmed guard never trips");
         'tuples: for tuple in self.finals.iter() {
             let mut terms = Vec::with_capacity(tuple.len());
             for s in tuple {
@@ -249,7 +253,10 @@ impl TupleAutomaton {
     /// Panics on arity/sort mismatch.
     pub fn intersection(&self, other: &TupleAutomaton) -> TupleAutomaton {
         assert_eq!(self.sorts, other.sorts, "intersecting different arities");
-        let (p, map) = self.dfta.product(&other.dfta);
+        let (p, map) = self
+            .dfta
+            .product_guarded(&other.dfta, &[], &Guard::new())
+            .expect("an unarmed guard never trips");
         let mut out = TupleAutomaton::new(p, self.sorts.clone());
         for a in self.finals.iter() {
             for b in other.finals.iter() {
@@ -281,7 +288,9 @@ impl TupleAutomaton {
         assert_eq!(self.sorts, other.sorts, "uniting different arities");
         let a = self.dfta.completed(sig);
         let b = other.dfta.completed(sig);
-        let (p, map) = a.product(&b);
+        let (p, map) = a
+            .product_guarded(&b, &[], &Guard::new())
+            .expect("an unarmed guard never trips");
         let mut out = TupleAutomaton::new(p, self.sorts.clone());
         // Index the materialized pairs by each side's component.
         let mut by_left: FxHashMap<StateId, Vec<(StateId, StateId)>> = FxHashMap::default();
@@ -315,7 +324,9 @@ impl TupleAutomaton {
     /// language; skipping them keeps the final set small.)
     pub fn complement(&self, sig: &Signature) -> TupleAutomaton {
         let c = self.dfta.completed(sig);
-        let reach = c.reachable();
+        let reach = c
+            .reachable_guarded(&Guard::new())
+            .expect("an unarmed guard never trips");
         let choices: Vec<Vec<StateId>> = self
             .sorts
             .iter()
@@ -332,7 +343,10 @@ impl TupleAutomaton {
 
     /// Restricts to reachable states (dropping unreachable final tuples).
     pub fn trim(&self) -> TupleAutomaton {
-        let reach = self.dfta.reachable();
+        let reach = self
+            .dfta
+            .reachable_guarded(&Guard::new())
+            .expect("an unarmed guard never trips");
         let (d, map) = self.dfta.restrict(&reach);
         let mut out = TupleAutomaton::new(d, self.sorts.clone());
         for tuple in self.finals.iter() {

@@ -153,6 +153,7 @@ proptest! {
 
 use ringen_automata::reference::{RefDfta, RefTupleAutomaton};
 use ringen_automata::StateId;
+use ringen_parallel::Guard;
 use ringen_terms::signature_helpers::tree_signature;
 use ringen_terms::Term;
 use std::collections::BTreeMap;
@@ -285,7 +286,7 @@ proptest! {
         let fin = vec![false; 3];
         let (ra, a) = nat_pair(3, za, &sa, &fin);
         let (rb, b) = nat_pair(3, zb, &sb, &fin);
-        let (p, map) = a.dfta().product(b.dfta());
+        let (p, map) = a.dfta().product_guarded(b.dfta(), &[], &Guard::new()).unwrap();
         let (rp, rmap) = ra.dfta().product(rb.dfta());
         let t = GroundTerm::iterate(s, GroundTerm::leaf(z), n);
         // Both products track the pair of component runs.
@@ -349,8 +350,8 @@ proptest! {
         fin in prop::collection::vec(any::<bool>(), 3),
     ) {
         let (ra, a) = tree_pair(3, lt, &nt, &fin);
-        prop_assert_eq!(a.dfta().reachable(), ra.dfta().reachable());
-        let wit = a.dfta().witnesses();
+        prop_assert_eq!(a.dfta().reachable_guarded(&Guard::new()).unwrap(), ra.dfta().reachable());
+        let wit = a.dfta().witnesses_guarded(&Guard::new()).unwrap();
         let rwit = ra.dfta().witnesses();
         for (i, (w, rw)) in wit.iter().zip(&rwit).enumerate() {
             prop_assert_eq!(w.is_some(), rw.is_some(), "state {}", i);

@@ -1,8 +1,7 @@
 //! Differential property tests for the hash-consed automaton store:
-//! every memoized Boolean operation — cold call, warm call, and
-//! pass-through (`RINGEN_AUT_CACHE=0`) mode — is pinned against the
-//! reference kernel of `ringen_automata::reference`, including
-//! minimize-after-product chains.
+//! every memoized Boolean operation — cold call and warm call — is
+//! pinned against the reference kernel of `ringen_automata::reference`,
+//! including minimize-after-product chains.
 
 use proptest::prelude::*;
 use ringen_automata::reference::{RefDfta, RefTupleAutomaton};
@@ -66,7 +65,7 @@ proptest! {
         let (b, rb) = automata(3, zb, &sb, &fb);
         let terms = nums(16);
 
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let (ia, ib) = (store.intern(a), store.intern(b));
 
         // Cold pass.
@@ -98,33 +97,6 @@ proptest! {
         prop_assert!(store.stats().memo_hits >= 4);
     }
 
-    /// Pass-through mode is bit-identical to the free kernel
-    /// operations (structural equality of the kernels, which ignores
-    /// rule insertion order but nothing else).
-    #[test]
-    fn passthrough_matches_free_operations(
-        za in 0usize..3, sa in prop::collection::vec(0usize..3, 3),
-        fa in prop::collection::vec(any::<bool>(), 3),
-        zb in 0usize..3, sb in prop::collection::vec(0usize..3, 3),
-        fb in prop::collection::vec(any::<bool>(), 3),
-    ) {
-        let (sig, ..) = nat_signature();
-        let (a, _ra) = automata(3, za, &sa, &fa);
-        let (b, _rb) = automata(3, zb, &sb, &fb);
-
-        let mut store = AutStore::with_cache(false);
-        let (ia, ib) = (store.intern(a.clone()), store.intern(b.clone()));
-        let inter = store.intersection(ia, ib);
-        prop_assert_eq!(store.get(inter), &a.intersection(&b));
-        let uni = store.union(ia, ib, &sig);
-        prop_assert_eq!(store.get(uni), &a.union(&b, &sig));
-        let comp = store.complement(ia, &sig);
-        prop_assert_eq!(store.get(comp), &a.complement(&sig));
-        let mini = store.minimized(ia, &sig);
-        prop_assert_eq!(store.get(mini), &a.minimized(&sig));
-        prop_assert_eq!(store.stats().memo_hits, 0);
-    }
-
     /// Minimize-after-product chains: the store's composition agrees
     /// with the reference kernel's, cold and warm.
     #[test]
@@ -139,7 +111,7 @@ proptest! {
         let (b, rb) = automata(3, zb, &sb, &fb);
         let terms = nums(16);
 
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let (ia, ib) = (store.intern(a), store.intern(b));
         let inter = store.intersection(ia, ib);
         let chain = store.minimized(inter, &sig);

@@ -10,12 +10,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ringen_automata::Nfta;
 use ringen_benchgen::{programs, shapes};
-use ringen_core::preprocess;
-use ringen_core::saturation::{saturate, SaturationConfig};
+use ringen_core::saturation::{saturate_guarded, SaturationConfig};
+use ringen_core::{preprocess, Guard};
 use ringen_elem::ElemConfig;
-use ringen_fmf::{find_model, FinderConfig};
+use ringen_fmf::{find_model_guarded, FinderConfig};
 use ringen_induction::{solve_induction, InductionConfig};
-use ringen_regelem::{solve_regelem, RegElemConfig};
+use ringen_regelem::{solve_regelem_guarded, RegElemConfig};
 
 fn bench_symmetry_breaking(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_symmetry_breaking");
@@ -24,6 +24,7 @@ fn bench_symmetry_breaking(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     let sys = shapes::mod_k_nat(4, 0, 1);
     let pre = preprocess(&sys);
+    let guard = Guard::new();
     for on in [true, false] {
         let cfg = FinderConfig {
             symmetry_breaking: on,
@@ -32,7 +33,14 @@ fn bench_symmetry_breaking(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("mod4", if on { "on" } else { "off" }),
             &cfg,
-            |bench, cfg| bench.iter(|| find_model(&pre.skolemized, cfg).unwrap().0.model()),
+            |bench, cfg| {
+                bench.iter(|| {
+                    find_model_guarded(&pre.skolemized, cfg, &guard)
+                        .unwrap()
+                        .0
+                        .model()
+                })
+            },
         );
     }
     group.finish();
@@ -47,11 +55,12 @@ fn bench_diseq_cost(c: &mut Criterion) {
     // make finite models scarcer.
     let plain = shapes::mod_k_nat(2, 0, 1);
     let diseq = shapes::shallow_diseq(2, 0);
+    let guard = Guard::new();
     for (name, sys) in [("positive-eq", &plain), ("diseq", &diseq)] {
         group.bench_with_input(BenchmarkId::new("find_model", name), sys, |bench, sys| {
             let pre = preprocess(sys);
             bench.iter(|| {
-                find_model(&pre.skolemized, &FinderConfig::default())
+                find_model_guarded(&pre.skolemized, &FinderConfig::default(), &guard)
                     .unwrap()
                     .0
                     .model()
@@ -66,10 +75,11 @@ fn bench_saturation_depth(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
+    let guard = Guard::new();
     for depth in [4usize, 16, 32] {
         let sys = shapes::unsat_chain(depth);
         group.bench_with_input(BenchmarkId::new("refute", depth), &sys, |bench, sys| {
-            bench.iter(|| saturate(sys, &SaturationConfig::default()).0)
+            bench.iter(|| saturate_guarded(sys, &SaturationConfig::default(), &guard).0)
         });
     }
     group.finish();
@@ -111,12 +121,13 @@ fn bench_hybrid_phase_order(c: &mut Criterion) {
         }),
         ..RegElemConfig::quick()
     };
+    let guard = Guard::new();
     for (name, cfg) in [
         ("regular-first", &regular_first),
         ("elementary-first", &elementary_first),
     ] {
         group.bench_with_input(BenchmarkId::new("even", name), cfg, |bench, cfg| {
-            bench.iter(|| solve_regelem(&sys, cfg).0.is_sat())
+            bench.iter(|| solve_regelem_guarded(&sys, cfg, &guard).0.is_sat())
         });
     }
     group.finish();

@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use criterion::{BenchmarkId, Criterion, Record};
 use ringen_automata::reference::{RefDfta, RefTupleAutomaton};
 use ringen_automata::{AutStore, Dfta, PoolRunCache, RunCache, StateId, TupleAutomaton};
-use ringen_core::saturation::{saturate, SaturationConfig, SaturationOutcome};
-use ringen_parallel::ParallelConfig;
+use ringen_core::saturation::{saturate_guarded, SaturationConfig, SaturationOutcome};
+use ringen_parallel::{Guard, ParallelConfig};
 use ringen_terms::signature_helpers::{nat_signature, tree_signature};
 use ringen_terms::{herbrand, FuncId, GroundTerm, Signature, TermId, TermPool};
 use rustc_hash::FxHashSet;
@@ -181,8 +181,12 @@ fn bench_product(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(150));
     let (_s1, a, ra, ..) = mod_k(48);
     let (_s2, b, rb, ..) = mod_k(64);
+    let guard = Guard::new();
     group.bench_function(BenchmarkId::new("interned", "48x64"), |bench| {
-        bench.iter(|| a.dfta().product(std::hint::black_box(b.dfta())))
+        bench.iter(|| {
+            a.dfta()
+                .product_guarded(std::hint::black_box(b.dfta()), &[], &guard)
+        })
     });
     group.bench_function(BenchmarkId::new("reference", "48x64"), |bench| {
         bench.iter(|| ra.dfta().product(std::hint::black_box(rb.dfta())))
@@ -241,7 +245,7 @@ fn bench_boolean_ops_memoized(c: &mut Criterion) {
     let (sig, a, _ra, ..) = mod_k(48);
     let (_s2, b, _rb, ..) = mod_k(64);
 
-    let mut store = AutStore::with_cache(true);
+    let mut store = AutStore::new();
     let ia = store.intern(a.clone());
     let ib = store.intern(b.clone());
     // Populate the memo once; every measured iteration is warm.
@@ -289,8 +293,9 @@ fn bench_saturation(c: &mut Criterion) {
         max_facts: 400,
         ..SaturationConfig::default()
     };
+    let guard = Guard::new();
     group.bench_function(BenchmarkId::new("round", "even/400"), |b| {
-        b.iter(|| saturate(std::hint::black_box(&sys), &cfg))
+        b.iter(|| saturate_guarded(std::hint::black_box(&sys), &cfg, &guard))
     });
     group.finish();
 }
@@ -344,8 +349,9 @@ fn bench_parallel_saturation(c: &mut Criterion) {
         ..SaturationConfig::default()
     };
     // The engines must agree before their timings are comparable.
-    let (seq, seq_stats) = saturate(&sys, &cfg(1));
-    let (par, par_stats) = saturate(&sys, &cfg(4));
+    let guard = Guard::new();
+    let (seq, seq_stats) = saturate_guarded(&sys, &cfg(1), &guard);
+    let (par, par_stats) = saturate_guarded(&sys, &cfg(4), &guard);
     match (&seq, &par) {
         (SaturationOutcome::Saturated(a), SaturationOutcome::Saturated(b)) => {
             assert_eq!(
@@ -360,11 +366,11 @@ fn bench_parallel_saturation(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("interned", "joins/4t"), |b| {
         let cfg = cfg(4);
-        b.iter(|| saturate(std::hint::black_box(&sys), &cfg))
+        b.iter(|| saturate_guarded(std::hint::black_box(&sys), &cfg, &guard))
     });
     group.bench_function(BenchmarkId::new("reference", "joins/4t"), |b| {
         let cfg = cfg(1);
-        b.iter(|| saturate(std::hint::black_box(&sys), &cfg))
+        b.iter(|| saturate_guarded(std::hint::black_box(&sys), &cfg, &guard))
     });
     group.finish();
 }
@@ -406,8 +412,9 @@ fn bench_semi_naive_saturation(c: &mut Criterion) {
         ..SaturationConfig::default()
     };
     // The engines must agree before their timings are comparable.
-    let (semi, semi_stats) = saturate(&sys, &cfg(true));
-    let (naive, naive_stats) = saturate(&sys, &cfg(false));
+    let guard = Guard::new();
+    let (semi, semi_stats) = saturate_guarded(&sys, &cfg(true), &guard);
+    let (naive, naive_stats) = saturate_guarded(&sys, &cfg(false), &guard);
     match (&semi, &naive) {
         (SaturationOutcome::Budget(a), SaturationOutcome::Budget(b))
         | (SaturationOutcome::Saturated(a), SaturationOutcome::Saturated(b)) => {
@@ -428,11 +435,11 @@ fn bench_semi_naive_saturation(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("interned", "chain/240"), |b| {
         let cfg = cfg(true);
-        b.iter(|| saturate(std::hint::black_box(&sys), &cfg))
+        b.iter(|| saturate_guarded(std::hint::black_box(&sys), &cfg, &guard))
     });
     group.bench_function(BenchmarkId::new("reference", "chain/240"), |b| {
         let cfg = cfg(false);
-        b.iter(|| saturate(std::hint::black_box(&sys), &cfg))
+        b.iter(|| saturate_guarded(std::hint::black_box(&sys), &cfg, &guard))
     });
     group.finish();
 }
@@ -447,7 +454,7 @@ fn bench_semi_naive_saturation(c: &mut Criterion) {
 /// pays each per-coordinate refutation once and dispatches the repeats
 /// by unit propagation.
 fn bench_fmf_incremental(c: &mut Criterion) {
-    use ringen_fmf::{find_model, FinderConfig, FmfOutcome};
+    use ringen_fmf::{find_model_guarded, FinderConfig, FmfOutcome};
 
     let mut group = c.benchmark_group("fmf_incremental");
     group.sample_size(10);
@@ -462,8 +469,11 @@ fn bench_fmf_incremental(c: &mut Criterion) {
         ..FinderConfig::default()
     };
     // The sweeps must agree before their timings are comparable.
-    let (inc, inc_stats) = find_model(&sys, &cfg(true)).expect("dual ring is supported");
-    let (one, one_stats) = find_model(&sys, &cfg(false)).expect("dual ring is supported");
+    let guard = Guard::new();
+    let (inc, inc_stats) =
+        find_model_guarded(&sys, &cfg(true), &guard).expect("dual ring is supported");
+    let (one, one_stats) =
+        find_model_guarded(&sys, &cfg(false), &guard).expect("dual ring is supported");
     assert!(
         matches!(inc, FmfOutcome::Exhausted) && matches!(one, FmfOutcome::Exhausted),
         "dual_phase_ring(6, 5) must exhaust a total budget of 9 in both sweep modes"
@@ -481,11 +491,11 @@ fn bench_fmf_incremental(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::new("interned", "dual_ring/6+5/T9"), |b| {
         let cfg = cfg(true);
-        b.iter(|| find_model(std::hint::black_box(&sys), &cfg))
+        b.iter(|| find_model_guarded(std::hint::black_box(&sys), &cfg, &guard))
     });
     group.bench_function(BenchmarkId::new("reference", "dual_ring/6+5/T9"), |b| {
         let cfg = cfg(false);
-        b.iter(|| find_model(std::hint::black_box(&sys), &cfg))
+        b.iter(|| find_model_guarded(std::hint::black_box(&sys), &cfg, &guard))
     });
     group.finish();
 }

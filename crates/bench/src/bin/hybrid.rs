@@ -14,7 +14,8 @@ use std::time::Instant;
 use ringen_bench::hybrid::{combined_config, run_hybrid, HybridEngine};
 use ringen_bench::{run_solver, RunAnswer, SolverKind};
 use ringen_benchgen::{diseq_suite, positive_eq_suite, programs, shapes, Expected};
-use ringen_regelem::{solve_regelem, LangPoolConfig};
+use ringen_core::Guard;
+use ringen_regelem::{solve_regelem_guarded, LangPoolConfig};
 
 fn main() {
     part1_extended_fig3();
@@ -169,7 +170,7 @@ fn part3_pool_ablation() {
         cfg.langs = langs;
         cfg.max_assignments = 60_000;
         let start = Instant::now();
-        let (answer, stats) = solve_regelem(&sys, &cfg);
+        let (answer, stats) = solve_regelem_guarded(&sys, &cfg, &Guard::new());
         let ms = start.elapsed().as_millis();
         let verdict = if answer.is_sat() {
             "SAT"

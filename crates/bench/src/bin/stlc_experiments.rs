@@ -3,14 +3,17 @@
 //! Peirce's law (divergence), and the 23 hand-written type-theory
 //! problems against all five solvers.
 
+use ringen_automata::AutStore;
 use ringen_bench::{run_solver, RunAnswer, SolverKind};
 use ringen_benchgen::stlc::{handwritten_suite, type_check_system, TypeExpr};
-use ringen_core::{solve, Answer, RingenConfig};
+use ringen_core::{solve_guarded, Answer, Guard, RingenConfig};
 
 fn main() {
     println!("== §5 case study: inhabitation of (a → b) → a ==\n");
     let sys = type_check_system(&TypeExpr::paper_goal());
-    let (answer, stats) = solve(&sys, &RingenConfig::default());
+    let guard = Guard::new();
+    let (answer, stats) =
+        solve_guarded(&sys, &RingenConfig::default(), &mut AutStore::new(), &guard);
     match answer {
         Answer::Sat(sat) => {
             println!(
@@ -27,7 +30,7 @@ fn main() {
     let sys = type_check_system(&TypeExpr::peirce());
     let mut cfg = RingenConfig::quick();
     cfg.finder.max_total_size = 7;
-    let (answer, _) = solve(&sys, &cfg);
+    let (answer, _) = solve_guarded(&sys, &cfg, &mut AutStore::new(), &guard);
     println!(
         "answer: {}\n",
         match answer {

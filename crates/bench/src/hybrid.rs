@@ -13,11 +13,12 @@
 //! phase keeps its Table 1 budget, so the portfolio's cost is the
 //! honest sum of its parts.
 
+use ringen_automata::AutStore;
 use ringen_chc::ChcSystem;
-use ringen_core::{Answer, RingenConfig};
+use ringen_core::{Answer, Guard, RingenConfig};
 use ringen_elem::{ElemAnswer, ElemConfig};
 use ringen_regelem::{
-    solve_regelem, DpBudget, LangPoolConfig, RegElemAnswer, RegElemConfig, RegElemInvariant,
+    solve_regelem_guarded, DpBudget, LangPoolConfig, RegElemAnswer, RegElemConfig, RegElemInvariant,
 };
 use ringen_sizeelem::{SizeElemAnswer, SizeElemConfig};
 
@@ -80,6 +81,8 @@ pub fn combined_config(kind: SolverKind) -> RegElemConfig {
 
 /// Runs the four-phase portfolio on one system.
 pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
+    // Budgets, not wall time, bound every phase: the guard never trips.
+    let guard = Guard::new();
     // Phase 1: regular invariants (the paper's tool).
     let cfg = RingenConfig {
         finder: crate::finder_config(),
@@ -87,7 +90,7 @@ pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
         verify_invariants: true,
         verify_refutations: true,
     };
-    let (answer, _) = ringen_core::solve(sys, &cfg);
+    let (answer, _) = ringen_core::solve_guarded(sys, &cfg, &mut AutStore::new(), &guard);
     match answer {
         Answer::Sat(_) => {
             return HybridOutcome {
@@ -103,7 +106,7 @@ pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
                 invariant: None,
             }
         }
-        // Unreachable: the unguarded `solve` never trips.
+        // Interrupted is unreachable: the guard is never armed.
         Answer::Unknown(_) | Answer::Interrupted => {}
     }
 
@@ -113,7 +116,7 @@ pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
         max_assignments: crate::TEMPLATE_ASSIGNMENTS,
         ..ElemConfig::quick()
     };
-    let (answer, _) = ringen_elem::solve_elem(sys, &cfg);
+    let (answer, _) = ringen_elem::solve_elem_guarded(sys, &cfg, &guard);
     match answer {
         ElemAnswer::Sat(_) => {
             return HybridOutcome {
@@ -138,7 +141,7 @@ pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
         max_assignments: crate::TEMPLATE_ASSIGNMENTS,
         ..SizeElemConfig::quick()
     };
-    let (answer, _) = ringen_sizeelem::solve_size_elem(sys, &cfg);
+    let (answer, _) = ringen_sizeelem::solve_size_elem_guarded(sys, &cfg, &guard);
     match answer {
         SizeElemAnswer::Sat(_) => {
             return HybridOutcome {
@@ -158,7 +161,7 @@ pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
     }
 
     // Phase 4: the combined template-plus-membership search.
-    let (answer, _) = solve_regelem(sys, &combined_config(SolverKind::RInGen));
+    let (answer, _) = solve_regelem_guarded(sys, &combined_config(SolverKind::RInGen), &guard);
     match answer {
         RegElemAnswer::Sat(inv, _) => HybridOutcome {
             answer: RunAnswer::Sat,

@@ -22,10 +22,11 @@ pub mod hybrid;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use ringen_automata::AutStore;
 use ringen_benchgen::{Benchmark, Expected, Family};
 use ringen_chc::ChcSystem;
 use ringen_core::saturation::SaturationConfig;
-use ringen_core::{Answer, RingenConfig};
+use ringen_core::{Answer, Guard, RingenConfig};
 use ringen_elem::{ElemAnswer, ElemConfig};
 use ringen_fmf::FinderConfig;
 use ringen_induction::{InductionAnswer, InductionConfig};
@@ -158,6 +159,8 @@ pub(crate) const TEMPLATE_ASSIGNMENTS: u64 = 4_000;
 
 /// Runs one solver profile on one system.
 pub fn run_solver(kind: SolverKind, sys: &ChcSystem) -> (RunAnswer, Option<usize>) {
+    // Budgets, not wall time, bound every profile: the guard never trips.
+    let guard = Guard::new();
     match kind {
         SolverKind::RInGen => {
             let cfg = RingenConfig {
@@ -166,13 +169,14 @@ pub fn run_solver(kind: SolverKind, sys: &ChcSystem) -> (RunAnswer, Option<usize
                 verify_invariants: true,
                 verify_refutations: true,
             };
-            let (answer, stats) = ringen_core::solve(sys, &cfg);
+            let (answer, stats) =
+                ringen_core::solve_guarded(sys, &cfg, &mut AutStore::new(), &guard);
             match answer {
                 Answer::Sat(_) => (RunAnswer::Sat, stats.model_size),
                 Answer::Unsat(_) => (RunAnswer::Unsat, None),
-                // Interrupted is unreachable for the unguarded entry
-                // points the harness calls, but tabulate it as a
-                // timeout if it ever shows up.
+                // Interrupted is unreachable under the unarmed guard
+                // the harness passes, but tabulate it as a timeout if
+                // it ever shows up.
                 Answer::Unknown(_) | Answer::Interrupted => (RunAnswer::Unknown, None),
             }
         }
@@ -182,7 +186,7 @@ pub fn run_solver(kind: SolverKind, sys: &ChcSystem) -> (RunAnswer, Option<usize
                 max_assignments: TEMPLATE_ASSIGNMENTS,
                 ..SizeElemConfig::quick()
             };
-            let (answer, _) = ringen_sizeelem::solve_size_elem(sys, &cfg);
+            let (answer, _) = ringen_sizeelem::solve_size_elem_guarded(sys, &cfg, &guard);
             match answer {
                 SizeElemAnswer::Sat(_) => (RunAnswer::Sat, None),
                 SizeElemAnswer::Unsat(_) => (RunAnswer::Unsat, None),
@@ -195,7 +199,7 @@ pub fn run_solver(kind: SolverKind, sys: &ChcSystem) -> (RunAnswer, Option<usize
                 max_assignments: TEMPLATE_ASSIGNMENTS,
                 ..ElemConfig::quick()
             };
-            let (answer, _) = ringen_elem::solve_elem(sys, &cfg);
+            let (answer, _) = ringen_elem::solve_elem_guarded(sys, &cfg, &guard);
             match answer {
                 ElemAnswer::Sat(_) => (RunAnswer::Sat, None),
                 ElemAnswer::Unsat(_) => (RunAnswer::Unsat, None),
@@ -219,7 +223,7 @@ pub fn run_solver(kind: SolverKind, sys: &ChcSystem) -> (RunAnswer, Option<usize
             let mut cfg = VerimapConfig::quick();
             cfg.engine.saturation = kind.saturation();
             cfg.engine.max_assignments = TEMPLATE_ASSIGNMENTS;
-            let (answer, _) = ringen_verimap::solve_verimap(sys, &cfg)
+            let (answer, _) = ringen_verimap::solve_verimap_guarded(sys, &cfg, &guard)
                 .expect("benchmark systems are well-sorted");
             match answer {
                 VerimapAnswer::Sat(_) => (RunAnswer::Sat, None),

@@ -666,9 +666,10 @@ mod tests {
 
     #[test]
     fn unsat_chain_is_refutable() {
-        use ringen_core::saturation::{saturate, SaturationConfig, SaturationOutcome};
+        use ringen_core::saturation::{saturate_guarded, SaturationConfig, SaturationOutcome};
+        use ringen_core::Guard;
         let sys = unsat_chain(4);
-        let (outcome, _) = saturate(&sys, &SaturationConfig::default());
+        let (outcome, _) = saturate_guarded(&sys, &SaturationConfig::default(), &Guard::new());
         assert!(matches!(outcome, SaturationOutcome::Refuted(_)));
     }
 

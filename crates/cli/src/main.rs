@@ -142,7 +142,7 @@ fn main() -> ExitCode {
             };
             // The CLI owns one automaton store for the whole solve, so
             // every verification pass shares the memoized Boolean
-            // algebra (RINGEN_AUT_CACHE=0 forces pass-through).
+            // algebra.
             let mut store = AutStore::new();
             let (answer, stats) = solve_guarded(&sys, &cfg, &mut store, &guard);
             sections = report::solve_sections(&stats);

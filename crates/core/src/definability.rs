@@ -21,7 +21,8 @@
 //! lives in the `ringen-sizeelem` crate, which builds on these helpers.
 
 use ringen_chc::{ChcSystem, Constraint, PredId};
-use ringen_fmf::{find_model, FinderConfig, FmfOutcome};
+use ringen_fmf::{find_model_guarded, FinderConfig, FmfOutcome};
+use ringen_parallel::Guard;
 use ringen_terms::{leaves, replace_all, GroundTerm, Path};
 
 use crate::preprocess::preprocess;
@@ -49,13 +50,13 @@ pub fn search_regular_invariant(sys: &ChcSystem, max_total_size: usize) -> RegSe
         max_total_size,
         ..FinderConfig::default()
     };
-    match find_model(&pre.system, &cfg) {
+    match find_model_guarded(&pre.system, &cfg, &Guard::new()) {
         Ok((FmfOutcome::Model(m), _)) => RegSearch {
             found_at: Some(m.size()),
             exhausted_up_to: m.size().saturating_sub(1),
         },
-        // Interrupted is unreachable here: the unguarded `find_model`
-        // never trips, but the match must stay exhaustive.
+        // Interrupted is unreachable here: an unarmed guard never
+        // trips, but the match must stay exhaustive.
         Ok((FmfOutcome::Exhausted | FmfOutcome::Interrupted, _)) | Err(_) => RegSearch {
             found_at: None,
             exhausted_up_to: max_total_size,
@@ -223,7 +224,7 @@ impl LfpOracle {
     /// Saturates the system and indexes the derived facts.
     pub fn new(sys: &ChcSystem, cfg: &crate::saturation::SaturationConfig) -> Self {
         use crate::saturation::SaturationOutcome;
-        let (outcome, _) = crate::saturation::saturate(sys, cfg);
+        let (outcome, _) = crate::saturation::saturate_guarded(sys, cfg, &Guard::new());
         let base = match outcome {
             SaturationOutcome::Saturated(b)
             | SaturationOutcome::Budget(b)

@@ -36,7 +36,7 @@ use ringen_terms::{GroundTerm, Term, VarId};
 
 use crate::invariant::RegularInvariant;
 
-/// Outcome of [`check_inductive`].
+/// Outcome of [`check_inductive_guarded`].
 #[derive(Debug, Clone)]
 pub enum InductiveCheck {
     /// Every clause is satisfied by the invariant.
@@ -82,41 +82,18 @@ fn unsupported(sys: &ChcSystem) -> Option<InductiveCheck> {
 
 /// Checks that `inv` satisfies every clause of `sys` (which must be
 /// constraint-free). See the module docs for why this is exact.
-pub fn check_inductive(sys: &ChcSystem, inv: &RegularInvariant) -> InductiveCheck {
-    if let Some(u) = unsupported(sys) {
-        return u;
-    }
-    let dfta = inv.dfta();
-    check_with_fixpoints(sys, inv, &dfta.reachable(), &dfta.witnesses(), None)
-}
-
-/// [`check_inductive`] through a hash-consed [`AutStore`]: the
-/// invariant's shared transition table is interned (deduplicated
-/// against previously checked candidates) and the reachability /
-/// witness fixpoints come from the store's memo — re-verifying a
-/// candidate whose table a previous solver iteration already analyzed
-/// costs one hash probe instead of two worklist fixpoints. The verdict
-/// is identical to [`check_inductive`]'s.
-pub fn check_inductive_with(
-    sys: &ChcSystem,
-    inv: &RegularInvariant,
-    store: &mut AutStore,
-) -> InductiveCheck {
-    if let Some(u) = unsupported(sys) {
-        return u;
-    }
-    let id = store.intern_dfta(inv.dfta().clone());
-    let reachable = store.reachable(id);
-    let witnesses = store.witnesses(id);
-    check_with_fixpoints(sys, inv, &reachable, &witnesses, None)
-}
-
-/// [`check_inductive_with`] under a cooperative [`Guard`]: the token is
-/// polled inside the store's worklist fixpoints and between assignment
-/// sweeps; once it trips the check returns
+///
+/// The check runs through a hash-consed [`AutStore`]: the invariant's
+/// shared transition table is interned (deduplicated against previously
+/// checked candidates) and the reachability / witness fixpoints come
+/// from the store's memo — re-verifying a candidate whose table a
+/// previous solver iteration already analyzed costs one hash probe
+/// instead of two worklist fixpoints.
+///
+/// The [`Guard`] is polled inside the store's worklist fixpoints and
+/// between assignment sweeps; once it trips the check returns
 /// [`InductiveCheck::Interrupted`] without memoizing any partial
-/// fixpoint. With a never-tripping guard the verdict is identical to
-/// [`check_inductive_with`]'s.
+/// fixpoint.
 pub fn check_inductive_guarded(
     sys: &ChcSystem,
     inv: &RegularInvariant,
@@ -133,7 +110,7 @@ pub fn check_inductive_guarded(
     let Some(witnesses) = store.witnesses_guarded(id, guard) else {
         return InductiveCheck::Interrupted;
     };
-    check_with_fixpoints(sys, inv, &reachable, &witnesses, Some(guard))
+    check_with_fixpoints(sys, inv, &reachable, &witnesses, guard)
 }
 
 fn check_with_fixpoints(
@@ -141,7 +118,7 @@ fn check_with_fixpoints(
     inv: &RegularInvariant,
     reachable: &BTreeSet<StateId>,
     witnesses: &[Option<GroundTerm>],
-    guard: Option<&Guard>,
+    guard: &Guard,
 ) -> InductiveCheck {
     debug_assert!(unsupported(sys).is_none(), "callers check first");
     let dfta = inv.dfta();
@@ -326,7 +303,7 @@ fn violated(
     clause: &Clause,
     per_sort: &BTreeMap<ringen_terms::SortId, Vec<StateId>>,
     witnesses: &[Option<GroundTerm>],
-    guard: Option<&Guard>,
+    guard: &Guard,
 ) -> Sweep {
     let universals: Vec<VarId> = clause
         .vars
@@ -352,13 +329,11 @@ fn violated(
     }
 
     let mut eval = ClauseEval::new(clause, inv.dfta(), per_sort);
-    let mut poller = guard.map(Poller::new);
+    let mut poller = Poller::new(guard);
     let mut idx = vec![0usize; universals.len()];
     loop {
-        if let Some(p) = poller.as_mut() {
-            if p.poll() {
-                return Sweep::Interrupted;
-            }
+        if poller.poll() {
+            return Sweep::Interrupted;
         }
         let mut env: BTreeMap<VarId, StateId> = universals
             .iter()
@@ -479,7 +454,7 @@ mod tests {
     use super::*;
     use crate::preprocess::preprocess;
     use ringen_chc::parse_str;
-    use ringen_fmf::{find_model, FinderConfig};
+    use ringen_fmf::{find_model_guarded, FinderConfig};
 
     #[test]
     fn even_invariant_is_inductive() {
@@ -494,10 +469,14 @@ mod tests {
         )
         .unwrap();
         let pre = preprocess(&sys);
-        let (outcome, _) = find_model(&pre.system, &FinderConfig::default()).unwrap();
+        let (outcome, _) =
+            find_model_guarded(&pre.system, &FinderConfig::default(), &Guard::new()).unwrap();
         let model = outcome.model().unwrap();
         let inv = RegularInvariant::from_model(&pre.system, &model);
-        assert!(check_inductive(&pre.system, &inv).is_inductive());
+        assert!(
+            check_inductive_guarded(&pre.system, &inv, &mut AutStore::new(), &Guard::new())
+                .is_inductive()
+        );
     }
 
     #[test]
@@ -512,14 +491,15 @@ mod tests {
         )
         .unwrap();
         let pre = preprocess(&sys);
-        let (outcome, _) = find_model(&pre.system, &FinderConfig::default()).unwrap();
+        let (outcome, _) =
+            find_model_guarded(&pre.system, &FinderConfig::default(), &Guard::new()).unwrap();
         let model = outcome.model().unwrap();
         let mut inv = RegularInvariant::from_model(&pre.system, &model);
         // Empty the finals of `even`: the fact clause `→ even(Z)` must now
         // be reported violated.
         let even = sys.rels.by_name("even").unwrap();
         inv.finals_mut(even).clear();
-        match check_inductive(&pre.system, &inv) {
+        match check_inductive_guarded(&pre.system, &inv, &mut AutStore::new(), &Guard::new()) {
             InductiveCheck::Violated(v) => {
                 // The violated clause derives even(Z) — no body needed.
                 assert!(pre.system.clauses[v.clause].body.is_empty());
@@ -541,21 +521,24 @@ mod tests {
         )
         .unwrap();
         let pre = preprocess(&sys);
-        let (outcome, _) = find_model(&pre.system, &FinderConfig::default()).unwrap();
+        let (outcome, _) =
+            find_model_guarded(&pre.system, &FinderConfig::default(), &Guard::new()).unwrap();
         let inv = RegularInvariant::from_model(&pre.system, &outcome.model().unwrap());
-        let mut store = AutStore::with_cache(true);
-        assert!(check_inductive_with(&pre.system, &inv, &mut store).is_inductive());
+        let mut store = AutStore::new();
+        assert!(
+            check_inductive_guarded(&pre.system, &inv, &mut store, &Guard::new()).is_inductive()
+        );
         let after_cold = store.stats();
         assert_eq!(after_cold.memo_misses, 2, "reachable + witnesses computed");
         // Re-verifying the same candidate (the solver-loop shape) pays
         // two hash probes: the table dedups and both fixpoints hit.
-        assert!(check_inductive_with(&pre.system, &inv, &mut store).is_inductive());
+        assert!(
+            check_inductive_guarded(&pre.system, &inv, &mut store, &Guard::new()).is_inductive()
+        );
         let after_warm = store.stats();
         assert_eq!(after_warm.memo_misses, after_cold.memo_misses);
         assert_eq!(after_warm.memo_hits, after_cold.memo_hits + 2);
         assert!(after_warm.dedup_hits >= 1);
-        // Verdicts agree with the store-less check.
-        assert!(check_inductive(&pre.system, &inv).is_inductive());
     }
 
     #[test]
@@ -579,16 +562,20 @@ mod tests {
         )
         .unwrap();
         let pre = preprocess(&sys);
-        let (outcome, _) = find_model(&pre.system, &FinderConfig::default()).unwrap();
+        let (outcome, _) =
+            find_model_guarded(&pre.system, &FinderConfig::default(), &Guard::new()).unwrap();
         let model = outcome.model().expect("evenpair has a finite model");
         let inv = RegularInvariant::from_model(&pre.system, &model);
-        assert!(check_inductive(&pre.system, &inv).is_inductive());
+        assert!(
+            check_inductive_guarded(&pre.system, &inv, &mut AutStore::new(), &Guard::new())
+                .is_inductive()
+        );
         // Corrupt the finals: the violation (and its witness) must
         // still be found through the memoized tables.
         let p = sys.rels.by_name("evenpair").unwrap();
         let mut bad = inv.clone();
         bad.finals_mut(p).clear();
-        match check_inductive(&pre.system, &bad) {
+        match check_inductive_guarded(&pre.system, &bad, &mut AutStore::new(), &Guard::new()) {
             InductiveCheck::Violated(v) => {
                 assert!(pre.system.clauses[v.clause].body.is_empty());
             }
@@ -607,10 +594,11 @@ mod tests {
         )
         .unwrap();
         let pre = preprocess(&sys);
-        let (outcome, _) = find_model(&pre.system, &FinderConfig::default()).unwrap();
+        let (outcome, _) =
+            find_model_guarded(&pre.system, &FinderConfig::default(), &Guard::new()).unwrap();
         let inv = RegularInvariant::from_model(&pre.system, &outcome.model().unwrap());
         assert!(matches!(
-            check_inductive(&sys, &inv),
+            check_inductive_guarded(&sys, &inv, &mut AutStore::new(), &Guard::new()),
             InductiveCheck::Unsupported(_)
         ));
     }

@@ -210,7 +210,8 @@ impl fmt::Display for DisplayInvariant<'_> {
 mod tests {
     use super::*;
     use ringen_chc::parse_str;
-    use ringen_fmf::{find_model, FinderConfig};
+    use ringen_fmf::{find_model_guarded, FinderConfig};
+    use ringen_parallel::Guard;
     use ringen_terms::GroundTerm;
 
     fn even_system() -> ChcSystem {
@@ -229,7 +230,8 @@ mod tests {
     #[test]
     fn even_model_gives_the_papers_automaton() {
         let sys = even_system();
-        let (outcome, _) = find_model(&sys, &FinderConfig::default()).unwrap();
+        let (outcome, _) =
+            find_model_guarded(&sys, &FinderConfig::default(), &Guard::new()).unwrap();
         let model = outcome.model().expect("even has a 2-element model");
         let inv = RegularInvariant::from_model(&sys, &model);
         assert_eq!(inv.state_count(), 2);

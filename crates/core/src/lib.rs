@@ -9,16 +9,17 @@
 //!
 //! * [`preprocess`] — §4.4 disequality elimination, §4.5
 //!   tester/selector elimination, Theorem 5's equality elimination;
-//! * [`solve`] — the end-to-end solver: UNSAT with a replayable
+//! * [`solve_guarded`] — the end-to-end solver: UNSAT with a replayable
 //!   [`Refutation`], SAT with a [`RegularInvariant`] re-verified by the
-//!   decidable inductiveness check ([`check_inductive`]);
+//!   decidable inductiveness check ([`check_inductive_guarded`]);
 //! * [`definability`] — executable pumping lemmas (§6) and bounded
 //!   regular-definability search (§7).
 //!
 //! # Example
 //!
 //! ```
-//! use ringen_core::{solve, Answer, RingenConfig};
+//! use ringen_automata::AutStore;
+//! use ringen_core::{solve_guarded, Answer, Guard, RingenConfig};
 //!
 //! let sys = ringen_chc::parse_str(r#"
 //!   (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
@@ -27,7 +28,11 @@
 //!   (assert (forall ((x Nat)) (=> (even x) (even (S (S x))))))
 //!   (assert (forall ((x Nat)) (=> (and (even x) (even (S x))) false)))
 //! "#)?;
-//! let (answer, stats) = solve(&sys, &RingenConfig::default());
+//! // The guard bounds the run: `Guard::with_deadline` or a later
+//! // `cancel()` yields `Answer::Interrupted`; this one never trips.
+//! let guard = Guard::new();
+//! let mut store = AutStore::new();
+//! let (answer, stats) = solve_guarded(&sys, &RingenConfig::default(), &mut store, &guard);
 //! match answer {
 //!     Answer::Sat(sat) => {
 //!         // The paper's two-state automaton from Example 1.
@@ -47,9 +52,7 @@ pub mod preprocess;
 pub mod saturation;
 pub mod solve;
 
-pub use inductive::{
-    check_inductive, check_inductive_guarded, check_inductive_with, InductiveCheck, Violation,
-};
+pub use inductive::{check_inductive_guarded, InductiveCheck, Violation};
 pub use invariant::{DisplayInvariant, RegularInvariant};
 pub use preprocess::{preprocess, PreprocessStats, Preprocessed};
 pub use ringen_parallel::{
@@ -57,9 +60,7 @@ pub use ringen_parallel::{
     SharedRecorder, Span, SpanHandle,
 };
 pub use saturation::{
-    check_refutation, saturate, saturate_guarded, FactBase, Refutation, RefutationError,
-    SaturationConfig, SaturationOutcome,
+    check_refutation, saturate_guarded, FactBase, Refutation, RefutationError, SaturationConfig,
+    SaturationOutcome,
 };
-pub use solve::{
-    solve, solve_guarded, solve_with_store, Answer, Divergence, RingenConfig, SatAnswer, SolveStats,
-};
+pub use solve::{solve_guarded, Answer, Divergence, RingenConfig, SatAnswer, SolveStats};

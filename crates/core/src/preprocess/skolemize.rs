@@ -9,9 +9,10 @@
 //! The Herbrand transfer needs one extra check on the way back: the
 //! Skolem witnesses the model picks must be *reachable* domain elements
 //! (ones denoted by ground terms), otherwise the finite model does not
-//! induce a Herbrand model of the ∀∃ clause. [`crate::check_inductive`]
-//! performs exactly that check on the un-Skolemized system, so unsound
-//! models are rejected rather than trusted.
+//! induce a Herbrand model of the ∀∃ clause.
+//! [`crate::check_inductive_guarded`] performs exactly that check on the
+//! un-Skolemized system, so unsound models are rejected rather than
+//! trusted.
 
 use ringen_chc::{Atom, ChcSystem, Clause};
 use ringen_terms::{FuncId, Substitution, Term};

@@ -47,7 +47,7 @@
 //! workers to it). Budgets stay deterministic because each clause runs
 //! under the budget remaining at the round's start, and the merge
 //! re-applies the global caps clause by clause. The workers themselves
-//! are spawned **once per [`saturate`] call** and parked between
+//! are spawned **once per [`saturate_guarded`] call** and parked between
 //! rounds ([`ringen_parallel::Pool::persistent`]), so many-round
 //! instances pay no per-round spawn latency.
 //!
@@ -102,9 +102,9 @@
 //! facts first) marks its clause **dirty**, and a dirty clause is
 //! rescheduled as a full naive rescan next round — exactly how the
 //! naive engine rediscovers the dropped candidates. Setting
-//! `RINGEN_SAT_SEMINAIVE=0` (or [`SaturationConfig::semi_naive`] =
-//! `false`) selects the naive matcher, kept verbatim as the
-//! differential reference.
+//! [`SaturationConfig::semi_naive`] to `false` selects the naive
+//! matcher, kept verbatim as the differential reference for tests and
+//! benches.
 
 use std::error::Error;
 use std::fmt;
@@ -120,7 +120,7 @@ use ringen_terms::{
 use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 use smallvec::SmallVec;
 
-/// Budgets for [`saturate`]. All limits are deterministic step counts,
+/// Budgets for [`saturate_guarded`]. All limits are deterministic step counts,
 /// never wall time, so results are reproducible.
 #[derive(Debug, Clone)]
 pub struct SaturationConfig {
@@ -146,10 +146,10 @@ pub struct SaturationConfig {
     /// bit-for-bit identical at any value.
     pub parallel: ParallelConfig,
     /// Use the delta-driven semi-naive round engine with
-    /// argument-indexed joins (see the [module docs](self)). The
-    /// default honors `RINGEN_SAT_SEMINAIVE` (`0` selects the naive
-    /// reference matcher); outcomes, fact order, pool contents and
-    /// certificates are identical either way — only
+    /// argument-indexed joins (see the [module docs](self)). Defaults to
+    /// `true`; `false` selects the naive reference matcher, kept for
+    /// differential tests and benches. Outcomes, fact order, pool
+    /// contents and certificates are identical either way — only
     /// [`SaturationStats::steps`] / [`SaturationStats::candidates`]
     /// reflect the engine's actual (smaller) workload.
     pub semi_naive: bool,
@@ -164,7 +164,7 @@ impl Default for SaturationConfig {
             free_var_candidates: 8,
             max_steps: 2_000_000,
             parallel: ParallelConfig::default(),
-            semi_naive: std::env::var_os("RINGEN_SAT_SEMINAIVE").is_none_or(|v| v != *"0"),
+            semi_naive: true,
         }
     }
 }
@@ -453,7 +453,7 @@ impl FactBase {
 /// [`saturate_guarded`]).
 pub const GUARD_STEP_PERIOD: u64 = 128;
 
-/// Outcome of [`saturate`].
+/// Outcome of [`saturate_guarded`].
 #[derive(Debug, Clone)]
 pub enum SaturationOutcome {
     /// A query clause fired: the system is unsatisfiable.
@@ -473,7 +473,7 @@ pub enum SaturationOutcome {
     Interrupted(FactBase),
 }
 
-/// Statistics from a [`saturate`] run.
+/// Statistics from a [`saturate_guarded`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaturationStats {
     /// Completed rounds.
@@ -552,7 +552,7 @@ fn run_item(
     use_index: bool,
     enum_cache: &FxHashMap<SortId, Vec<GroundTerm>>,
     step_budget: u64,
-    guard: Option<&Guard>,
+    guard: &Guard,
 ) -> ClauseRun {
     let clause = &sys.clauses[item.clause];
     // A query of the ∀∃ shape (§5) cannot be fired by a finite set of
@@ -858,19 +858,14 @@ fn merge_round_semi(
 /// Rounds are sharded across [`SaturationConfig::parallel`] workers,
 /// spawned once per call and parked between rounds (see the
 /// [module docs](self)); the result is identical at any worker count.
-pub fn saturate(sys: &ChcSystem, cfg: &SaturationConfig) -> (SaturationOutcome, SaturationStats) {
-    saturate_guarded(sys, cfg, &Guard::new())
-}
-
-/// [`saturate`] under a cooperative [`Guard`].
 ///
-/// The token is polled between rounds and every [`GUARD_STEP_PERIOD`]
-/// join candidates inside the workers. When it trips, the in-flight
-/// round's deltas are discarded *wholesale* and
+/// The [`Guard`] is polled between rounds and every
+/// [`GUARD_STEP_PERIOD`] join candidates inside the workers. When it
+/// trips, the in-flight round's deltas are discarded *wholesale* and
 /// [`SaturationOutcome::Interrupted`] returns the fact base as of the
 /// last completed round — never a torn half-merge — together with the
-/// stats accumulated so far. With a never-tripping guard the run is
-/// bit-identical to [`saturate`].
+/// stats accumulated so far. A guard that never trips leaves the run
+/// unchanged.
 pub fn saturate_guarded(
     sys: &ChcSystem,
     cfg: &SaturationConfig,
@@ -993,7 +988,7 @@ fn saturate_rounds(
                 semi,
                 &enum_cache,
                 step_budget,
-                Some(guard),
+                guard,
             )
         });
         // A tripped guard discards the whole round: merging a torn
@@ -1156,8 +1151,8 @@ struct Matcher<'a> {
     /// full rescan.
     facts_capped: bool,
     /// Cooperative cancellation token, polled every
-    /// [`GUARD_STEP_PERIOD`] join candidates (`None` = never polled).
-    guard: Option<&'a Guard>,
+    /// [`GUARD_STEP_PERIOD`] join candidates.
+    guard: &'a Guard,
     /// The guard tripped; stop matching, the round will be discarded.
     interrupted: bool,
     #[allow(clippy::type_complexity)]
@@ -1230,13 +1225,9 @@ impl<'a> Matcher<'a> {
                 self.budget_hit = true;
                 return;
             }
-            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) {
-                if let Some(g) = self.guard {
-                    if g.is_cancelled() {
-                        self.interrupted = true;
-                        return;
-                    }
-                }
+            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) && self.guard.is_cancelled() {
+                self.interrupted = true;
+                return;
             }
             let fi = fi as usize;
             let mut bind2 = bind.clone();
@@ -1380,13 +1371,9 @@ impl<'a> Matcher<'a> {
                 self.budget_hit = true;
                 return;
             }
-            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) {
-                if let Some(g) = self.guard {
-                    if g.is_cancelled() {
-                        self.interrupted = true;
-                        return;
-                    }
-                }
+            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) && self.guard.is_cancelled() {
+                self.interrupted = true;
+                return;
             }
             let mut sub2 = sub.clone();
             let mut single = Substitution::new();
@@ -1682,7 +1669,7 @@ mod tests {
     #[test]
     fn refutes_and_replays() {
         let sys = unsat_even();
-        let (outcome, _) = saturate(&sys, &SaturationConfig::default());
+        let (outcome, _) = saturate_guarded(&sys, &SaturationConfig::default(), &Guard::new());
         let r = match outcome {
             SaturationOutcome::Refuted(r) => r,
             other => panic!("expected refutation, got {other:?}"),
@@ -1705,7 +1692,7 @@ mod tests {
     #[test]
     fn tampered_refutation_is_rejected() {
         let sys = unsat_even();
-        let (outcome, _) = saturate(&sys, &SaturationConfig::default());
+        let (outcome, _) = saturate_guarded(&sys, &SaturationConfig::default(), &Guard::new());
         let mut r = match outcome {
             SaturationOutcome::Refuted(r) => r,
             other => panic!("expected refutation, got {other:?}"),
@@ -1732,7 +1719,7 @@ mod tests {
             max_facts: 50,
             ..SaturationConfig::default()
         };
-        let (outcome, stats) = saturate(&sys, &cfg);
+        let (outcome, stats) = saturate_guarded(&sys, &cfg, &Guard::new());
         match outcome {
             SaturationOutcome::Budget(base) | SaturationOutcome::Saturated(base) => {
                 assert!(!base.is_empty());
@@ -1762,7 +1749,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (outcome, _) = saturate(&sys, &SaturationConfig::default());
+        let (outcome, _) = saturate_guarded(&sys, &SaturationConfig::default(), &Guard::new());
         let r = match outcome {
             SaturationOutcome::Refuted(r) => r,
             other => panic!("expected refutation, got {other:?}"),
@@ -1785,7 +1772,7 @@ mod tests {
             max_facts: 8,
             ..SaturationConfig::default()
         };
-        let (outcome, _) = saturate(&sys, &cfg);
+        let (outcome, _) = saturate_guarded(&sys, &cfg, &Guard::new());
         let base = match outcome {
             SaturationOutcome::Budget(b) | SaturationOutcome::Saturated(b) => b,
             SaturationOutcome::Refuted(_) => panic!("even system is satisfiable"),

@@ -1,10 +1,10 @@
 //! The end-to-end RInGen solver (Figure 1).
 //!
-//! `solve` orchestrates: a quick bottom-up refutation attempt (UNSAT with
-//! a replayable certificate), then the §4 preprocessing pipeline and the
-//! finite-model search (SAT with a regular invariant, re-verified
-//! inductive by the decidable check of [`crate::inductive`]). Every
-//! budget is a deterministic step count.
+//! [`solve_guarded`] orchestrates: a quick bottom-up refutation attempt
+//! (UNSAT with a replayable certificate), then the §4 preprocessing
+//! pipeline and the finite-model search (SAT with a regular invariant,
+//! re-verified inductive by the decidable check of
+//! [`crate::inductive`]). Every budget is a deterministic step count.
 
 use ringen_automata::AutStore;
 use ringen_chc::ChcSystem;
@@ -19,7 +19,7 @@ use crate::saturation::{
     SaturationStats,
 };
 
-/// Tuning knobs for [`solve`].
+/// Tuning knobs for [`solve_guarded`].
 #[derive(Debug, Clone)]
 pub struct RingenConfig {
     /// Finite-model search budgets.
@@ -132,7 +132,7 @@ impl Answer {
     }
 }
 
-/// Cost accounting for a [`solve`] run.
+/// Cost accounting for a [`solve_guarded`] run.
 #[derive(Debug, Clone, Default)]
 pub struct SolveStats {
     /// Preprocessing statistics.
@@ -148,43 +148,23 @@ pub struct SolveStats {
 /// Solves a CHC system over ADTs: SAT with a regular invariant, UNSAT
 /// with a refutation, or Unknown when budgets run out.
 ///
+/// The invariant verification routes through the caller-owned
+/// [`AutStore`]'s memo tables, so an outer loop — a portfolio, a CEGAR
+/// loop, the CLI solving one file — pays each automaton fixpoint once
+/// across all its calls.
+///
+/// The guard is threaded into every long-running phase (refuter rounds,
+/// SAT search, automaton fixpoints, inductiveness sweep). A trip —
+/// deadline or explicit [`Guard::cancel`] — yields
+/// [`Answer::Interrupted`] with the statistics of the completed work;
+/// the shared `store` and term pool are left consistent, so a later call
+/// may resume against them.
+///
 /// # Panics
 ///
 /// Panics if `sys` is not well-sorted, if a verified invariant fails its
 /// own inductiveness check, or if a refutation fails to replay — all
 /// three indicate bugs, not user errors.
-pub fn solve(sys: &ChcSystem, cfg: &RingenConfig) -> (Answer, SolveStats) {
-    let mut store = AutStore::new();
-    solve_with_store(sys, cfg, &mut store)
-}
-
-/// [`solve`] against a caller-owned [`AutStore`]: the invariant
-/// verification (and any future automaton work of the pipeline) routes
-/// through the store's memo tables, so an outer loop — a portfolio, a
-/// CEGAR driver, the CLI solving one file — pays each automaton
-/// fixpoint once across all its `solve` calls.
-///
-/// # Panics
-///
-/// Same conditions as [`solve`].
-pub fn solve_with_store(
-    sys: &ChcSystem,
-    cfg: &RingenConfig,
-    store: &mut AutStore,
-) -> (Answer, SolveStats) {
-    solve_guarded(sys, cfg, store, &Guard::new())
-}
-
-/// [`solve_with_store`] with cooperative cancellation: the guard is
-/// threaded into every long-running phase (refuter rounds, SAT search,
-/// automaton fixpoints, inductiveness sweep). A trip — deadline or
-/// explicit [`Guard::cancel`] — yields [`Answer::Interrupted`] with the
-/// statistics of the completed work; the shared `store` and term pool
-/// are left consistent, so a later call may resume against them.
-///
-/// # Panics
-///
-/// Same conditions as [`solve`].
 pub fn solve_guarded(
     sys: &ChcSystem,
     cfg: &RingenConfig,
@@ -320,7 +300,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, stats) = solve(&sys, &RingenConfig::default());
+        let (answer, stats) = solve_guarded(
+            &sys,
+            &RingenConfig::default(),
+            &mut AutStore::new(),
+            &Guard::new(),
+        );
         let sat = match answer {
             Answer::Sat(s) => s,
             other => panic!("expected SAT, got {other:?}"),
@@ -347,7 +332,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve(&sys, &RingenConfig::default());
+        let (answer, _) = solve_guarded(
+            &sys,
+            &RingenConfig::default(),
+            &mut AutStore::new(),
+            &Guard::new(),
+        );
         assert!(answer.is_unsat(), "got {answer:?}");
     }
 
@@ -368,7 +358,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve(&sys, &RingenConfig::quick());
+        let (answer, _) = solve_guarded(
+            &sys,
+            &RingenConfig::quick(),
+            &mut AutStore::new(),
+            &Guard::new(),
+        );
         assert!(answer.is_unknown(), "Diag must diverge, got {answer:?}");
     }
 

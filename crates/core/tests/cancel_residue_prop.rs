@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use ringen_automata::AutStore;
 use ringen_chc::{parse_str, ChcSystem};
-use ringen_core::saturation::{saturate, saturate_guarded, SaturationConfig, SaturationOutcome};
+use ringen_core::saturation::{saturate_guarded, SaturationConfig, SaturationOutcome};
 use ringen_core::{solve_guarded, Guard, RingenConfig};
 use ringen_parallel::ParallelConfig;
 
@@ -119,7 +119,7 @@ proptest! {
             parallel: ParallelConfig::with_threads(threads),
             ..SaturationConfig::default()
         };
-        let (full, full_stats) = saturate(&sys, &cfg);
+        let (full, full_stats) = saturate_guarded(&sys, &cfg, &Guard::new());
         let full_facts = match &full {
             SaturationOutcome::Refuted(_) => None,
             SaturationOutcome::Saturated(base)
@@ -152,9 +152,9 @@ proptest! {
             }
         }
 
-        // And a fresh, unguarded run afterwards is still identical —
+        // And a fresh, uncancelled run afterwards is still identical —
         // cancellation touched nothing global.
-        let (again, again_stats) = saturate(&sys, &cfg);
+        let (again, again_stats) = saturate_guarded(&sys, &cfg, &Guard::new());
         prop_assert_eq!(
             format!("{again:?} / {again_stats:?}"),
             format!("{full:?} / {full_stats:?}")

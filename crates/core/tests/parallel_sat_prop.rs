@@ -18,9 +18,10 @@
 use proptest::prelude::*;
 use ringen_chc::{parse_str, ChcSystem, PredId};
 use ringen_core::saturation::{
-    check_refutation, saturate, Refutation, SaturationConfig, SaturationOutcome, SaturationStats,
+    check_refutation, saturate_guarded, Refutation, SaturationConfig, SaturationOutcome,
+    SaturationStats,
 };
-use ringen_parallel::ParallelConfig;
+use ringen_parallel::{Guard, ParallelConfig};
 use ringen_terms::GroundTerm;
 
 /// Small systems covering the engine's paths: pooled fast path, diseq /
@@ -129,7 +130,7 @@ fn fingerprint(outcome: &SaturationOutcome) -> Fingerprint {
             pooled_terms: base.pool().len(),
             refutation: None,
         },
-        // Unreachable: the unguarded `saturate` never trips.
+        // Unreachable: an unarmed guard never trips.
         SaturationOutcome::Interrupted(base) => Fingerprint {
             variant: "interrupted",
             facts: base.ground_facts().collect(),
@@ -144,7 +145,7 @@ fn run(sys: &ChcSystem, cfg: &SaturationConfig, threads: usize) -> (Fingerprint,
         parallel: ParallelConfig::with_threads(threads),
         ..cfg.clone()
     };
-    let (outcome, stats) = saturate(sys, &cfg);
+    let (outcome, stats) = saturate_guarded(sys, &cfg, &Guard::new());
     (fingerprint(&outcome), stats)
 }
 
@@ -197,7 +198,7 @@ proptest! {
             parallel: ParallelConfig::with_threads(threads),
             ..SaturationConfig::default()
         };
-        let (outcome, _) = saturate(&sys, &cfg);
+        let (outcome, _) = saturate_guarded(&sys, &cfg, &Guard::new());
         if let SaturationOutcome::Refuted(r) = outcome {
             prop_assert!(check_refutation(&sys, &r).is_ok());
         }

@@ -1,7 +1,6 @@
 //! Differential property tests pinning the semi-naive, delta-driven
 //! saturation engine to the naive reference matcher
-//! (`RINGEN_SAT_SEMINAIVE=0` / [`SaturationConfig::semi_naive`] =
-//! `false`), at every thread count.
+//! ([`SaturationConfig::semi_naive`] = `false`), at every thread count.
 //!
 //! The engines' contract (see the `saturation` module docs) is that
 //! outcome variant, fact list (content *and* derivation order),
@@ -19,9 +18,9 @@
 use proptest::prelude::*;
 use ringen_chc::{parse_str, ChcSystem, PredId};
 use ringen_core::saturation::{
-    check_refutation, saturate, Refutation, SaturationConfig, SaturationOutcome,
+    check_refutation, saturate_guarded, Refutation, SaturationConfig, SaturationOutcome,
 };
-use ringen_parallel::ParallelConfig;
+use ringen_parallel::{Guard, ParallelConfig};
 use ringen_terms::GroundTerm;
 
 /// Small systems covering the engine's paths: pooled fast path, diseq /
@@ -135,7 +134,7 @@ fn run(sys: &ChcSystem, cfg: &SaturationConfig, semi: bool, threads: usize) -> F
         parallel: ParallelConfig::with_threads(threads),
         ..cfg.clone()
     };
-    let (outcome, stats) = saturate(sys, &cfg);
+    let (outcome, stats) = saturate_guarded(sys, &cfg, &Guard::new());
     let (variant, facts, pooled_terms, refutation) = match outcome {
         SaturationOutcome::Refuted(r) => ("refuted", Vec::new(), 0, Some(r)),
         SaturationOutcome::Saturated(base) => (
@@ -150,7 +149,7 @@ fn run(sys: &ChcSystem, cfg: &SaturationConfig, semi: bool, threads: usize) -> F
             base.pool().len(),
             None,
         ),
-        // Unreachable: the unguarded `saturate` never trips.
+        // Unreachable: an unarmed guard never trips.
         SaturationOutcome::Interrupted(base) => (
             "interrupted",
             base.ground_facts().collect(),
@@ -220,7 +219,7 @@ proptest! {
             parallel: ParallelConfig::with_threads(threads),
             ..SaturationConfig::default()
         };
-        let (outcome, _) = saturate(&sys, &cfg);
+        let (outcome, _) = saturate_guarded(&sys, &cfg, &Guard::new());
         if let SaturationOutcome::Refuted(r) = outcome {
             prop_assert!(check_refutation(&sys, &r).is_ok());
         }
@@ -253,8 +252,8 @@ fn two_atom_recursion_derives_each_fact_exactly_once() {
         parallel: ParallelConfig::with_threads(1),
         ..SaturationConfig::default()
     };
-    let (semi_outcome, semi_stats) = saturate(&sys, &cfg(true));
-    let (naive_outcome, naive_stats) = saturate(&sys, &cfg(false));
+    let (semi_outcome, semi_stats) = saturate_guarded(&sys, &cfg(true), &Guard::new());
+    let (naive_outcome, naive_stats) = saturate_guarded(&sys, &cfg(false), &Guard::new());
     let (semi_base, naive_base) = match (semi_outcome, naive_outcome) {
         (SaturationOutcome::Saturated(a), SaturationOutcome::Saturated(b)) => (a, b),
         other => panic!("chain system must saturate, got {other:?}"),

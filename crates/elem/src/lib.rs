@@ -7,14 +7,15 @@
 //! * [`check_cube`] — an Oppen-style decision procedure for conjunctions
 //!   of ADT literals (congruence closure + injectivity, distinctness,
 //!   acyclicity, testers);
-//! * [`solve_elem`] — template-based invariant inference with exact
-//!   inductiveness checking; diverges exactly on programs without
+//! * [`solve_elem_guarded`] — template-based invariant inference with
+//!   exact inductiveness checking; diverges exactly on programs without
 //!   elementary invariants, the behaviour Table 1 measures for Spacer.
 //!
 //! # Example
 //!
 //! ```
-//! use ringen_elem::{solve_elem, ElemAnswer, ElemConfig};
+//! use ringen_core::Guard;
+//! use ringen_elem::{solve_elem_guarded, ElemAnswer, ElemConfig};
 //!
 //! // IncDec (Example 4) has the elementary invariant inc(x,y) ≡ y = S(x).
 //! let sys = ringen_chc::parse_str(r#"
@@ -24,7 +25,8 @@
 //!   (assert (forall ((x Nat) (y Nat)) (=> (inc x y) (inc (S x) (S y)))))
 //!   (assert (forall ((x Nat)) (=> (inc x x) false)))
 //! "#)?;
-//! let (answer, _) = solve_elem(&sys, &ElemConfig::quick());
+//! // `Guard::with_deadline` would bound the sweep; this one never trips.
+//! let (answer, _) = solve_elem_guarded(&sys, &ElemConfig::quick(), &Guard::new());
 //! assert!(answer.is_sat());
 //! # Ok::<(), ringen_chc::ParseError>(())
 //! ```
@@ -37,7 +39,5 @@ pub mod template;
 
 pub use dp::{check_cube, CubeSat};
 pub use lit::{Cube, ElemFormula, Literal};
-pub use solver::{
-    solve_elem, solve_elem_guarded, ElemAnswer, ElemConfig, ElemInvariant, ElemStats,
-};
+pub use solver::{solve_elem_guarded, ElemAnswer, ElemConfig, ElemInvariant, ElemStats};
 pub use template::{atoms, candidates, TemplateConfig};

@@ -133,23 +133,14 @@ pub struct ElemStats {
     pub cube_queries: u64,
 }
 
-/// Runs the solver.
+/// Runs the solver under cooperative cancellation: the guard is
+/// threaded into the refuter and polled once per candidate assignment
+/// of the template sweep. A trip yields [`ElemAnswer::Interrupted`] with
+/// the statistics accumulated so far.
 ///
 /// # Panics
 ///
 /// Panics if `sys` is not well-sorted.
-pub fn solve_elem(sys: &ChcSystem, cfg: &ElemConfig) -> (ElemAnswer, ElemStats) {
-    solve_elem_guarded(sys, cfg, &Guard::new())
-}
-
-/// [`solve_elem`] with cooperative cancellation: the guard is threaded
-/// into the refuter and polled once per candidate assignment of the
-/// template sweep. A trip yields [`ElemAnswer::Interrupted`] with the
-/// statistics accumulated so far.
-///
-/// # Panics
-///
-/// Same conditions as [`solve_elem`].
 pub fn solve_elem_guarded(
     sys: &ChcSystem,
     cfg: &ElemConfig,
@@ -369,7 +360,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_elem(&sys, &quick());
+        let (answer, _) = solve_elem_guarded(&sys, &quick(), &Guard::new());
         let inv = match answer {
             ElemAnswer::Sat(inv) => inv,
             other => panic!("expected SAT, got {other:?}"),
@@ -398,7 +389,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_elem(&sys, &quick());
+        let (answer, _) = solve_elem_guarded(&sys, &quick(), &Guard::new());
         let inv = match answer {
             ElemAnswer::Sat(inv) => inv,
             other => panic!("expected SAT, got {other:?}"),
@@ -428,7 +419,7 @@ mod tests {
         .unwrap();
         let mut cfg = quick();
         cfg.max_assignments = 3_000;
-        let (answer, stats) = solve_elem(&sys, &cfg);
+        let (answer, stats) = solve_elem_guarded(&sys, &cfg, &Guard::new());
         assert!(answer.is_unknown(), "Even ∉ Elem, got {answer:?}");
         assert!(stats.assignments > 0);
     }
@@ -444,7 +435,26 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_elem(&sys, &quick());
+        let (answer, _) = solve_elem_guarded(&sys, &quick(), &Guard::new());
         assert!(answer.is_unsat());
+    }
+
+    #[test]
+    fn cancelled_guard_interrupts_before_any_assignment() {
+        let sys = parse_str(
+            r#"
+            (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
+            (declare-fun even (Nat) Bool)
+            (assert (even Z))
+            (assert (forall ((x Nat)) (=> (even x) (even (S (S x))))))
+            (assert (forall ((x Nat)) (=> (and (even x) (even (S x))) false)))
+            "#,
+        )
+        .unwrap();
+        let g = Guard::new();
+        g.cancel();
+        let (answer, stats) = solve_elem_guarded(&sys, &quick(), &g);
+        assert!(answer.is_interrupted(), "got {answer:?}");
+        assert_eq!(stats.assignments, 0);
     }
 }

@@ -8,17 +8,19 @@
 //! workers *generate* literal lists, the caller *adds* them to the
 //! solver sequentially in clause order. The outcome is bit-for-bit
 //! identical at any `RINGEN_THREADS` value. The workers are spawned
-//! once per [`find_model`] call and parked between size vectors
+//! once per [`find_model_guarded`] call and parked between size vectors
 //! ([`Pool::persistent`]), not re-spawned per sweep.
 //!
 //! # Incremental sweeps
 //!
-//! By default the whole sweep shares **one live SAT solver**
-//! ([`FinderConfig::incremental`], `RINGEN_FMF_INCREMENTAL=0` restores
-//! the one-shot reference path). Cell variables are allocated once for
-//! the *maximum* domain sizes any attempted vector reaches; each size
-//! vector is selected by per-(sort, element) "element exists" literals
-//! passed to [`ringen_sat::Solver::solve_under_assumptions`]; every
+//! The whole sweep shares **one live SAT solver**
+//! ([`FinderConfig::incremental`]; the one-shot solver-per-vector sweep
+//! stays only as the differential reference the `incremental_prop`
+//! tests and the `fmf_incremental` bench select). Cell variables are
+//! allocated once for the *maximum* domain sizes any attempted vector
+//! reaches; each size vector is selected by per-(sort, element)
+//! "element exists" literals passed to
+//! [`ringen_sat::Solver::solve_assuming_guarded`]; every
 //! ground instance is guarded by the negated existence literals of the
 //! elements it mentions, so instances outside the current vector are
 //! vacuous. Only the *delta* of never-before-grounded assignments is
@@ -35,14 +37,14 @@
 //! certificates downstream.
 
 use ringen_chc::ChcSystem;
-use ringen_parallel::{Guard, ParallelConfig, Pool, Recorder};
+use ringen_parallel::{Guard, ParallelConfig, Pool};
 use ringen_sat::{Lit, SatResult, Solver, Var};
 use ringen_terms::FuncKind;
 
 use crate::flatten::{flatten_system, FlatClause, FlattenError};
 use crate::model::FiniteModel;
 
-/// Tuning knobs for [`find_model`].
+/// Tuning knobs for [`find_model_guarded`].
 #[derive(Debug, Clone)]
 pub struct FinderConfig {
     /// Maximum total domain size (sum over sorts) to try.
@@ -55,9 +57,10 @@ pub struct FinderConfig {
     pub symmetry_breaking: bool,
     /// Keep one live solver across the sweep: max-size tables up front,
     /// "element exists" selector assumptions per vector, delta-only
-    /// grounding, learnt clauses retained. The default honors
-    /// `RINGEN_FMF_INCREMENTAL` (`0` selects the one-shot reference
-    /// path); verdicts are identical either way.
+    /// grounding, learnt clauses retained. Defaults to `true`; `false`
+    /// selects the one-shot solver-per-vector sweep, kept as the
+    /// differential reference for tests and benches. Verdicts are
+    /// identical either way.
     pub incremental: bool,
     /// Shrink each found model to a ⊆-minimal predicate extension with
     /// the dual-query assumption loop. The default honors
@@ -80,14 +83,14 @@ impl Default for FinderConfig {
             max_conflicts: 100_000,
             max_ground_instances: 4_000_000,
             symmetry_breaking: true,
-            incremental: env_flag("RINGEN_FMF_INCREMENTAL"),
+            incremental: true,
             minimize: env_flag("RINGEN_FMF_MINIMIZE"),
             parallel: ParallelConfig::default(),
         }
     }
 }
 
-/// Statistics from a [`find_model`] run.
+/// Statistics from a [`find_model_guarded`] run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FinderStats {
     /// Size vectors attempted.
@@ -141,33 +144,18 @@ impl FmfOutcome {
 /// Searches for a finite model of an equality-only CHC system over EUF,
 /// iterating domain-size vectors in order of total size (§4.1–4.2).
 ///
+/// The guard is polled between size vectors, between grounding waves,
+/// and inside the SAT search. A trip yields [`FmfOutcome::Interrupted`]
+/// with the statistics accumulated so far; no partial state escapes.
+///
 /// # Errors
 ///
 /// Returns [`FlattenError`] if the system still contains disequalities or
 /// testers (run the §4.4/§4.5 preprocessing first).
-pub fn find_model(
-    sys: &ChcSystem,
-    config: &FinderConfig,
-) -> Result<(FmfOutcome, FinderStats), FlattenError> {
-    find_model_inner(sys, config, None)
-}
-
-/// [`find_model`] with cooperative cancellation: the guard is polled
-/// between size vectors, between grounding waves, and inside the SAT
-/// search. A trip yields [`FmfOutcome::Interrupted`] with the statistics
-/// accumulated so far; no partial state escapes.
 pub fn find_model_guarded(
     sys: &ChcSystem,
     config: &FinderConfig,
     guard: &Guard,
-) -> Result<(FmfOutcome, FinderStats), FlattenError> {
-    find_model_inner(sys, config, Some(guard))
-}
-
-fn find_model_inner(
-    sys: &ChcSystem,
-    config: &FinderConfig,
-    guard: Option<&Guard>,
 ) -> Result<(FmfOutcome, FinderStats), FlattenError> {
     let flat = flatten_system(sys)?;
     let mut stats = FinderStats::default();
@@ -180,7 +168,7 @@ fn find_model_inner(
     // between size vectors (and between waves within one), joined on
     // return. `RINGEN_THREADS=1` spawns nothing.
     let pool = Pool::persistent(&config.parallel);
-    let rec = guard.map_or_else(Recorder::disabled, |g| g.recorder().clone());
+    let rec = guard.recorder().clone();
     let mut span = rec.span("fmf.search");
     span.note("max_total_size", config.max_total_size as i64);
     span.note("incremental", i64::from(config.incremental));
@@ -203,7 +191,7 @@ fn find_model_inner(
         let mut sweep: Option<IncrementalSweep> = None;
         'inc: for total in num_sorts..=config.max_total_size {
             for sizes in compositions(total, num_sorts) {
-                if guard.is_some_and(|g| g.is_cancelled()) {
+                if guard.is_cancelled() {
                     outcome = FmfOutcome::Interrupted;
                     break 'inc;
                 }
@@ -213,9 +201,7 @@ fn find_model_inner(
                     continue;
                 }
                 let sw = sweep.get_or_insert_with(|| IncrementalSweep::new(sys, &caps, config));
-                match sw.try_vector(
-                    sys, &flat, &sizes, est, config, &pool, guard, &rec, &mut stats,
-                ) {
+                match sw.try_vector(sys, &flat, &sizes, est, config, &pool, guard, &mut stats) {
                     SizeOutcome::Model(m) => {
                         outcome = FmfOutcome::Model(m);
                         break 'inc;
@@ -231,11 +217,11 @@ fn find_model_inner(
     } else {
         'search: for total in num_sorts..=config.max_total_size {
             for sizes in compositions(total, num_sorts) {
-                if guard.is_some_and(|g| g.is_cancelled()) {
+                if guard.is_cancelled() {
                     outcome = FmfOutcome::Interrupted;
                     break 'search;
                 }
-                match try_sizes(sys, &flat, &sizes, config, &pool, guard, &rec, &mut stats) {
+                match try_sizes(sys, &flat, &sizes, config, &pool, guard, &mut stats) {
                     SizeOutcome::Model(m) => {
                         outcome = FmfOutcome::Model(m);
                         break 'search;
@@ -310,15 +296,13 @@ fn estimate_instances(flat: &[FlatClause], sizes: &[usize]) -> u64 {
     instances
 }
 
-#[allow(clippy::too_many_arguments)]
 fn try_sizes(
     sys: &ChcSystem,
     flat: &[FlatClause],
     sizes: &[usize],
     config: &FinderConfig,
     pool: &Pool,
-    guard: Option<&Guard>,
-    rec: &Recorder,
+    guard: &Guard,
     stats: &mut FinderStats,
 ) -> SizeOutcome {
     // Estimate the grounding size first.
@@ -328,7 +312,7 @@ fn try_sizes(
         return SizeOutcome::Skipped;
     }
     stats.vectors_tried += 1;
-    let mut span = rec.span("fmf.size");
+    let mut span = guard.recorder().span("fmf.size");
     span.note("total", sizes.iter().sum::<usize>() as i64);
     span.note("instances", instances as i64);
     span.note("reused", 0);
@@ -408,7 +392,7 @@ fn try_sizes(
     let batch = (pool.threads() * 4).max(1);
     let mut added: u64 = 0;
     for wave in flat.chunks(batch) {
-        if guard.is_some_and(|g| g.is_cancelled()) {
+        if guard.is_cancelled() {
             span.note_str("outcome", "interrupted");
             return SizeOutcome::Interrupted;
         }
@@ -441,10 +425,7 @@ fn try_sizes(
     span.note("delta_clauses", added as i64);
     span.note("assumptions", 0);
 
-    let result = match guard {
-        Some(g) => solver.solve_guarded(config.max_conflicts, g),
-        None => solver.solve_with_budget(config.max_conflicts),
-    };
+    let result = solver.solve_guarded(config.max_conflicts, guard);
     span.note("decisions", solver.decision_count() as i64);
     span.note("conflicts", solver.conflict_count() as i64);
     let out = match result {
@@ -470,7 +451,7 @@ fn try_sizes(
         SatResult::Unknown => {
             // `Unknown` is either the conflict budget or a guard trip;
             // the guard's state disambiguates.
-            if guard.is_some_and(|g| g.is_cancelled()) {
+            if guard.is_cancelled() {
                 span.note_str("outcome", "interrupted");
                 SizeOutcome::Interrupted
             } else {
@@ -629,8 +610,7 @@ impl IncrementalSweep {
         est: u64,
         config: &FinderConfig,
         pool: &Pool,
-        guard: Option<&Guard>,
-        rec: &Recorder,
+        guard: &Guard,
         stats: &mut FinderStats,
     ) -> SizeOutcome {
         stats.vectors_tried += 1;
@@ -639,7 +619,7 @@ impl IncrementalSweep {
         if reused {
             stats.solver_reuses += 1;
         }
-        let mut span = rec.span("fmf.size");
+        let mut span = guard.recorder().span("fmf.size");
         span.note("total", sizes.iter().sum::<usize>() as i64);
         span.note("instances", est as i64);
         span.note("reused", i64::from(reused));
@@ -669,7 +649,7 @@ impl IncrementalSweep {
         sizes: &[usize],
         config: &FinderConfig,
         pool: &Pool,
-        guard: Option<&Guard>,
+        guard: &Guard,
         stats: &mut FinderStats,
         span: &mut ringen_parallel::Span,
     ) -> SizeOutcome {
@@ -682,7 +662,7 @@ impl IncrementalSweep {
             let (caps, covered) = (&self.caps, &self.covered);
             let (func_vars, pred_vars, ex) = (&self.func_vars, &self.pred_vars, &self.ex);
             'waves: for wave in flat.chunks(batch) {
-                if guard.is_some_and(|g| g.is_cancelled()) {
+                if guard.is_cancelled() {
                     span.note_str("outcome", "interrupted");
                     return SizeOutcome::Interrupted;
                 }
@@ -724,14 +704,9 @@ impl IncrementalSweep {
             span.note_str("outcome", "unsat");
             return SizeOutcome::Unsat;
         }
-        let result = match guard {
-            Some(g) => self
-                .solver
-                .solve_assuming_guarded(config.max_conflicts, g, &assumptions),
-            None => self
-                .solver
-                .solve_assuming_with_budget(config.max_conflicts, &assumptions),
-        };
+        let result = self
+            .solver
+            .solve_assuming_guarded(config.max_conflicts, guard, &assumptions);
         match result {
             SatResult::Sat => {
                 let (values, dropped) = if config.minimize {
@@ -764,7 +739,7 @@ impl IncrementalSweep {
                 SizeOutcome::Unsat
             }
             SatResult::Unknown => {
-                if guard.is_some_and(|g| g.is_cancelled()) {
+                if guard.is_cancelled() {
                     span.note_str("outcome", "interrupted");
                     SizeOutcome::Interrupted
                 } else {
@@ -808,7 +783,7 @@ fn shrink_true_preds(
     base_assumptions: &[Lit],
     active_preds: &[Var],
     max_conflicts: u64,
-    guard: Option<&Guard>,
+    guard: &Guard,
 ) -> (Vec<Option<bool>>, u64) {
     let mut best = solver.model();
     let initial = active_preds
@@ -842,10 +817,7 @@ fn shrink_true_preds(
                 .filter(|v| best[v.index()] == Some(false))
                 .map(Lit::neg),
         );
-        let result = match guard {
-            Some(g) => solver.solve_assuming_guarded(max_conflicts, g, &assumptions),
-            None => solver.solve_assuming_with_budget(max_conflicts, &assumptions),
-        };
+        let result = solver.solve_assuming_guarded(max_conflicts, guard, &assumptions);
         let improved = match result {
             SatResult::Sat => Some(solver.model()),
             SatResult::Unsat | SatResult::Unknown => None,
@@ -1160,7 +1132,8 @@ mod tests {
     #[test]
     fn finds_the_two_element_even_model() {
         let sys = even_system();
-        let (outcome, stats) = find_model(&sys, &FinderConfig::default()).unwrap();
+        let (outcome, stats) =
+            find_model_guarded(&sys, &FinderConfig::default(), &Guard::new()).unwrap();
         let model = outcome.model().expect("even has a finite model");
         assert_eq!(model.size(), 2, "paper's minimal model has 2 elements");
         assert!(model.satisfies(&sys));
@@ -1213,7 +1186,8 @@ mod tests {
             c.body(dec, vec![c.v(x), c.v(y)]);
         });
         let sys = b.finish();
-        let (outcome, _) = find_model(&sys, &FinderConfig::default()).unwrap();
+        let (outcome, _) =
+            find_model_guarded(&sys, &FinderConfig::default(), &Guard::new()).unwrap();
         let model = outcome.model().expect("IncDec ∈ Reg (Proposition 4)");
         assert!(model.satisfies(&sys));
         assert!(model.size() >= 3, "no 1- or 2-element model can work");
@@ -1238,7 +1212,7 @@ mod tests {
             max_total_size: 4,
             ..FinderConfig::default()
         };
-        let (outcome, stats) = find_model(&sys, &config).unwrap();
+        let (outcome, stats) = find_model_guarded(&sys, &config, &Guard::new()).unwrap();
         assert!(outcome.model().is_none());
         assert_eq!(stats.vectors_tried, 4);
     }
@@ -1265,7 +1239,7 @@ mod tests {
             max_total_size: 3,
             ..FinderConfig::default()
         };
-        let (outcome, _) = find_model(&sys, &config).unwrap();
+        let (outcome, _) = find_model_guarded(&sys, &config, &Guard::new()).unwrap();
         assert!(outcome.model().is_none());
     }
 
@@ -1286,7 +1260,8 @@ mod tests {
             c.body(q, vec![c.app0(f)]);
         });
         let sys = b.finish();
-        let (outcome, _) = find_model(&sys, &FinderConfig::default()).unwrap();
+        let (outcome, _) =
+            find_model_guarded(&sys, &FinderConfig::default(), &Guard::new()).unwrap();
         let model = outcome.model().expect("needs T ≠ F only");
         assert!(model.satisfies(&sys));
         assert_eq!(model.size(), 3); // 1 (Nat) + 2 (B)
@@ -1326,7 +1301,7 @@ mod tests {
                     parallel: ParallelConfig::with_threads(threads),
                     ..FinderConfig::default()
                 };
-                let (outcome, stats) = find_model(&sys, &cfg).unwrap();
+                let (outcome, stats) = find_model_guarded(&sys, &cfg, &Guard::new()).unwrap();
                 (outcome.model(), stats)
             };
             let (m1, s1) = run(1);
@@ -1363,7 +1338,7 @@ mod tests {
                 parallel: ParallelConfig::with_threads(threads),
                 ..FinderConfig::default()
             };
-            let (outcome, stats) = find_model(&sys, &cfg).unwrap();
+            let (outcome, stats) = find_model_guarded(&sys, &cfg, &Guard::new()).unwrap();
             (outcome.model().is_some(), stats)
         };
         let base = run(1);
@@ -1384,10 +1359,11 @@ mod tests {
         let g = Guard::with_fuel(1);
         let (outcome, _) = find_model_guarded(&sys, &FinderConfig::default(), &g).unwrap();
         assert!(matches!(outcome, FmfOutcome::Interrupted));
-        // A live guard changes nothing.
-        let g = Guard::new();
+        // An armed deadline that never trips changes nothing.
+        let g = Guard::with_deadline(std::time::Duration::from_secs(3600));
         let (outcome, stats) = find_model_guarded(&sys, &FinderConfig::default(), &g).unwrap();
-        let (plain, plain_stats) = find_model(&sys, &FinderConfig::default()).unwrap();
+        let (plain, plain_stats) =
+            find_model_guarded(&sys, &FinderConfig::default(), &Guard::new()).unwrap();
         assert_eq!(outcome.model(), plain.model());
         assert_eq!(stats, plain_stats);
     }
@@ -1399,8 +1375,8 @@ mod tests {
             symmetry_breaking: false,
             ..FinderConfig::default()
         };
-        let (o1, _) = find_model(&sys, &FinderConfig::default()).unwrap();
-        let (o2, _) = find_model(&sys, &plain).unwrap();
+        let (o1, _) = find_model_guarded(&sys, &FinderConfig::default(), &Guard::new()).unwrap();
+        let (o2, _) = find_model_guarded(&sys, &plain, &Guard::new()).unwrap();
         let m1 = o1.model().unwrap();
         let m2 = o2.model().unwrap();
         assert_eq!(m1.size(), m2.size());
@@ -1411,7 +1387,7 @@ mod tests {
     fn incremental_and_one_shot_sweeps_agree() {
         // Same verdict, same first-model size vector, same skip
         // decisions — the differential contract behind
-        // `RINGEN_FMF_INCREMENTAL=0`.
+        // `FinderConfig::incremental`.
         let sys = even_system();
         let inc = FinderConfig {
             incremental: true,
@@ -1421,8 +1397,8 @@ mod tests {
             incremental: false,
             ..FinderConfig::default()
         };
-        let (oi, si) = find_model(&sys, &inc).unwrap();
-        let (oo, so) = find_model(&sys, &one).unwrap();
+        let (oi, si) = find_model_guarded(&sys, &inc, &Guard::new()).unwrap();
+        let (oo, so) = find_model_guarded(&sys, &one, &Guard::new()).unwrap();
         let (mi, mo) = (oi.model().unwrap(), oo.model().unwrap());
         assert_eq!(mi.sizes(), mo.sizes());
         assert!(mi.satisfies(&sys) && mo.satisfies(&sys));
@@ -1457,7 +1433,7 @@ mod tests {
             incremental: true,
             ..FinderConfig::default()
         };
-        let (outcome, stats) = find_model(&sys, &cfg).unwrap();
+        let (outcome, stats) = find_model_guarded(&sys, &cfg, &Guard::new()).unwrap();
         assert!(outcome.model().is_some());
         assert!(stats.vectors_tried >= 3, "mod-3 needs the third vector");
         assert_eq!(stats.solver_reuses, stats.vectors_tried - 1);
@@ -1468,7 +1444,7 @@ mod tests {
             incremental: false,
             ..FinderConfig::default()
         };
-        let (_, so) = find_model(&sys, &one).unwrap();
+        let (_, so) = find_model_guarded(&sys, &one, &Guard::new()).unwrap();
         assert_eq!(so.solver_reuses, 0);
     }
 
@@ -1499,7 +1475,7 @@ mod tests {
                 minimize: true,
                 ..FinderConfig::default()
             };
-            let (outcome, _) = find_model(&sys, &cfg).unwrap();
+            let (outcome, _) = find_model_guarded(&sys, &cfg, &Guard::new()).unwrap();
             let model = outcome.model().expect("inc chains are satisfiable");
             assert!(model.satisfies(&sys));
             let atoms: Vec<(ringen_chc::PredId, Vec<usize>)> = sys
@@ -1544,8 +1520,8 @@ mod tests {
                 minimize: false,
                 ..FinderConfig::default()
             };
-            let (om, _) = find_model(&sys, &min).unwrap();
-            let (or, _) = find_model(&sys, &raw).unwrap();
+            let (om, _) = find_model_guarded(&sys, &min, &Guard::new()).unwrap();
+            let (or, _) = find_model_guarded(&sys, &raw, &Guard::new()).unwrap();
             let (mm, mr) = (om.model().unwrap(), or.model().unwrap());
             assert!(mm.satisfies(&sys) && mr.satisfies(&sys));
             assert!(atoms(&mm) <= atoms(&mr));

@@ -12,7 +12,8 @@
 //!
 //! ```
 //! use ringen_chc::parse_str;
-//! use ringen_fmf::{find_model, FinderConfig, FmfOutcome};
+//! use ringen_fmf::{find_model_guarded, FinderConfig, FmfOutcome};
+//! use ringen_parallel::Guard;
 //!
 //! let sys = parse_str(r#"
 //!   (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
@@ -21,7 +22,8 @@
 //!   (assert (forall ((x Nat)) (=> (even x) (even (S (S x))))))
 //!   (assert (forall ((x Nat)) (=> (and (even x) (even (S x))) false)))
 //! "#).unwrap();
-//! let (outcome, _stats) = find_model(&sys, &FinderConfig::default())?;
+//! // A deadline guard (`Guard::with_deadline`) would bound the search.
+//! let (outcome, _stats) = find_model_guarded(&sys, &FinderConfig::default(), &Guard::new())?;
 //! let model = match outcome { FmfOutcome::Model(m) => m, _ => unreachable!() };
 //! assert_eq!(model.size(), 2); // the paper's §4.1 model
 //! # Ok::<(), ringen_fmf::FlattenError>(())
@@ -31,8 +33,6 @@ mod finder;
 mod flatten;
 mod model;
 
-pub use finder::{
-    find_model, find_model_guarded, has_free_symbols, FinderConfig, FinderStats, FmfOutcome,
-};
+pub use finder::{find_model_guarded, has_free_symbols, FinderConfig, FinderStats, FmfOutcome};
 pub use flatten::{flatten_clause, flatten_system, FlatClause, FlatVar, FlattenError};
 pub use model::{DisplayModel, FiniteModel};

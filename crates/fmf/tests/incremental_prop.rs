@@ -1,6 +1,6 @@
 //! Differential property tests: the incremental (shared-solver,
 //! assumption-selected) size sweep against the one-shot reference path
-//! (`RINGEN_FMF_INCREMENTAL=0`) on random CHC systems.
+//! (`FinderConfig::incremental = false`) on random CHC systems.
 //!
 //! The contract: same verdict on every system, same first-model size
 //! vector, same skip decisions — the extracted models may differ only
@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 
 use ringen_chc::{ChcSystem, SystemBuilder};
-use ringen_fmf::{find_model, FinderConfig, FmfOutcome};
+use ringen_fmf::{find_model_guarded, FinderConfig, FmfOutcome};
+use ringen_parallel::Guard;
 use ringen_terms::Term;
 
 /// A term over one Nat-like sort: `S^iters(base)` where the base is
@@ -127,8 +128,8 @@ proptest! {
     #[test]
     fn incremental_matches_one_shot(clauses in proptest::collection::vec(clause_desc(), 1..=5)) {
         let sys = build_system(&clauses);
-        let (oi, si) = find_model(&sys, &config(true, true)).unwrap();
-        let (oo, so) = find_model(&sys, &config(false, true)).unwrap();
+        let (oi, si) = find_model_guarded(&sys, &config(true, true), &Guard::new()).unwrap();
+        let (oo, so) = find_model_guarded(&sys, &config(false, true), &Guard::new()).unwrap();
         prop_assert_eq!(verdict(&oi), verdict(&oo));
         prop_assert_eq!(si.vectors_tried, so.vectors_tried);
         prop_assert_eq!(si.skipped_too_large, so.skipped_too_large);
@@ -144,8 +145,8 @@ proptest! {
     #[test]
     fn agreement_survives_minimize_off(clauses in proptest::collection::vec(clause_desc(), 1..=4)) {
         let sys = build_system(&clauses);
-        let (oi, si) = find_model(&sys, &config(true, false)).unwrap();
-        let (oo, so) = find_model(&sys, &config(false, false)).unwrap();
+        let (oi, si) = find_model_guarded(&sys, &config(true, false), &Guard::new()).unwrap();
+        let (oo, so) = find_model_guarded(&sys, &config(false, false), &Guard::new()).unwrap();
         prop_assert_eq!(verdict(&oi), verdict(&oo));
         prop_assert_eq!(si.vectors_tried, so.vectors_tried);
         if let (FmfOutcome::Model(mi), FmfOutcome::Model(mo)) = (oi, oo) {
@@ -160,8 +161,8 @@ proptest! {
     #[test]
     fn minimization_preserves_the_verdict(clauses in proptest::collection::vec(clause_desc(), 1..=4)) {
         let sys = build_system(&clauses);
-        let (om, sm) = find_model(&sys, &config(true, true)).unwrap();
-        let (or, sr) = find_model(&sys, &config(true, false)).unwrap();
+        let (om, sm) = find_model_guarded(&sys, &config(true, true), &Guard::new()).unwrap();
+        let (or, sr) = find_model_guarded(&sys, &config(true, false), &Guard::new()).unwrap();
         prop_assert_eq!(verdict(&om), verdict(&or));
         prop_assert_eq!(sm.vectors_tried, sr.vectors_tried);
         if let (FmfOutcome::Model(mm), FmfOutcome::Model(mr)) = (om, or) {

@@ -27,7 +27,8 @@
 use std::collections::BTreeMap;
 
 use ringen_chc::{Atom, ChcSystem, Clause, Constraint, IllSorted, PredId};
-use ringen_core::saturation::{saturate, Refutation, SaturationConfig, SaturationOutcome};
+use ringen_core::saturation::{saturate_guarded, Refutation, SaturationConfig, SaturationOutcome};
+use ringen_core::Guard;
 use ringen_elem::{check_cube, CubeSat, Literal};
 use ringen_terms::{unify_all, Substitution, Term, VarContext, VarId};
 
@@ -142,7 +143,7 @@ pub fn solve_induction(
 ) -> Result<(InductionAnswer, u64), IllSorted> {
     sys.well_sorted()?;
 
-    let (outcome, sat_stats) = saturate(sys, &cfg.saturation);
+    let (outcome, sat_stats) = saturate_guarded(sys, &cfg.saturation, &Guard::new());
     if let SaturationOutcome::Refuted(r) = outcome {
         return Ok((InductionAnswer::Unsat(r), sat_stats.steps));
     }

@@ -60,12 +60,12 @@
 //! and joined before it returns. [`Pool::persistent`] instead spawns
 //! the workers **once** — they park on a [`Condvar`] between calls —
 //! which is what round-based engines (saturation, the FMF size sweep)
-//! want: one spawn per `saturate`/`find_model` call instead of one per
-//! round. Both modes share the work-claiming protocol (atomic cursor,
-//! item-order results, first-panic propagation after every worker has
-//! finished the call), so they are observably identical apart from
-//! latency; with `threads <= 1` the persistent constructor spawns
-//! nothing and every call runs inline.
+//! want: one spawn per `saturate_guarded`/`find_model_guarded` call
+//! instead of one per round. Both modes share the work-claiming
+//! protocol (atomic cursor, item-order results, first-panic propagation
+//! after every worker has finished the call), so they are observably
+//! identical apart from latency; with `threads <= 1` the persistent
+//! constructor spawns nothing and every call runs inline.
 //!
 //! # Cancellation and panic isolation
 //!

@@ -717,7 +717,7 @@ mod tests {
     fn store_routed_cubes_agree_and_memoize_joint_products() {
         use ringen_automata::AutStore;
         let (sig, nat, z, s) = nat_signature();
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let even = {
             let mut d = Dfta::new();
             let s0 = d.add_state(nat);
@@ -769,7 +769,7 @@ mod tests {
         // already intersects their allowed-state sets (the plain path
         // needs the layer-4 joint product for the same verdict).
         let (sig, nat, z, s) = nat_signature();
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let parity = |finals: usize, store: &mut AutStore| {
             let mut d = Dfta::new();
             let s0 = d.add_state(nat);

@@ -12,6 +12,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use ringen_automata::{AutStore, Dfta, DftaId, StateId, TupleAutomaton};
+use ringen_parallel::Guard;
 use ringen_terms::{GroundTerm, Signature, SortId};
 
 #[derive(Debug)]
@@ -78,7 +79,9 @@ impl Lang {
         let finals: BTreeSet<StateId> = finals.into_iter().collect();
         let sort = Lang::check_finals(&dfta, &finals);
         let completed = dfta.completed(sig);
-        let reachable = completed.reachable();
+        let reachable = completed
+            .reachable_guarded(&Guard::new())
+            .expect("an unarmed guard never trips");
         Lang(Arc::new(LangInner {
             name: name.into(),
             sort,
@@ -109,7 +112,9 @@ impl Lang {
         let finals: BTreeSet<StateId> = finals.into_iter().collect();
         let sort = Lang::check_finals(&dfta, &finals);
         let id = store.intern_dfta(dfta.completed(sig));
-        let reachable = store.reachable(id);
+        let reachable = store
+            .reachable_guarded(id, &Guard::new())
+            .expect("an unarmed guard never trips");
         Lang(Arc::new(LangInner {
             name: name.into(),
             sort,
@@ -384,7 +389,7 @@ mod tests {
     fn store_backed_langs_intern_and_key_structurally() {
         use ringen_automata::AutStore;
         let (sig, nat, z, s) = nat_signature();
-        let mut store = AutStore::with_cache(true);
+        let mut store = AutStore::new();
         let build = |store: &mut AutStore, final_idx: usize| {
             let mut d = Dfta::new();
             let s0 = d.add_state(nat);
@@ -417,7 +422,7 @@ mod tests {
         assert_eq!(even.intern_dfta_in(&mut store), even.store_id().unwrap().1);
         // A *different* store must not trust the foreign id: the table
         // is re-interned there, and keys never collide across stores.
-        let mut other = AutStore::with_cache(true);
+        let mut other = AutStore::new();
         let foreign = build(&mut other, 0);
         let reinterned = even.intern_dfta_in(&mut other);
         assert_eq!(other.dfta(reinterned), even.dfta());

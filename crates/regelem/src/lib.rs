@@ -13,9 +13,9 @@
 //! * [`RegElemInvariant`], [`check_inductive`] — certified
 //!   inductiveness of `RegElem` candidates, with the `Elem ⊆ RegElem`
 //!   and `Reg ⊆ RegElem` embeddings;
-//! * [`solve_regelem`] — a three-phase solver (regular → elementary →
-//!   genuinely combined), realizing the hybrid approach §8's
-//!   discussion conjectures "should exhibit the best performance".
+//! * [`solve_regelem_guarded`] — a three-phase solver (regular →
+//!   elementary → genuinely combined), realizing the hybrid approach
+//!   §8's discussion conjectures "should exhibit the best performance".
 //!
 //! The showcase separation: the `EvenDiag` program (see
 //! `ringen-benchgen`) pairs even Peano numbers with themselves. Its
@@ -27,7 +27,8 @@
 //! # Example
 //!
 //! ```
-//! use ringen_regelem::{solve_regelem, Provenance, RegElemAnswer, RegElemConfig};
+//! use ringen_core::Guard;
+//! use ringen_regelem::{solve_regelem_guarded, Provenance, RegElemAnswer, RegElemConfig};
 //!
 //! let sys = ringen_chc::parse_str(r#"
 //!   (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
@@ -43,7 +44,8 @@
 //! // Skip straight to the combined phase: the regular and elementary
 //! // phases provably diverge on this program.
 //! let cfg = RegElemConfig { regular: None, elementary: None, ..RegElemConfig::quick() };
-//! let (answer, _) = solve_regelem(&sys, &cfg);
+//! // `Guard::with_deadline` would bound every phase; this one never trips.
+//! let (answer, _) = solve_regelem_guarded(&sys, &cfg, &Guard::new());
 //! match answer {
 //!     RegElemAnswer::Sat(_, provenance) => {
 //!         assert_eq!(provenance, Provenance::Combined);
@@ -65,6 +67,4 @@ pub use enumerate::{enumerate_langs, enumerate_langs_in, LangPoolConfig};
 pub use formula::{RegCube, RegElemFormula, RegLiteral};
 pub use invariant::{check_inductive, check_inductive_in, RegElemCheck, RegElemInvariant};
 pub use lang::Lang;
-pub use solver::{
-    solve_regelem, solve_regelem_guarded, Provenance, RegElemAnswer, RegElemConfig, RegElemStats,
-};
+pub use solver::{solve_regelem_guarded, Provenance, RegElemAnswer, RegElemConfig, RegElemStats};

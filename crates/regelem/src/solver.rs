@@ -48,7 +48,7 @@ pub enum Provenance {
     Combined,
 }
 
-/// Budgets for [`solve_regelem`].
+/// Budgets for [`solve_regelem_guarded`].
 #[derive(Debug, Clone)]
 pub struct RegElemConfig {
     /// Refuter budgets (shared with the other solvers).
@@ -163,23 +163,15 @@ pub struct RegElemStats {
 /// automaton work through its memo tables (the returned
 /// [`RegElemStats::store`] counters show the traffic).
 ///
+/// The guard is threaded into every phase — the refuter, the regular
+/// pipeline, the elementary sweep, and the combined-candidate sweep. A
+/// trip yields [`RegElemAnswer::Interrupted`] with partial statistics;
+/// the automaton store never caches a partial fixpoint, so the work
+/// done so far stays sound.
+///
 /// # Panics
 ///
 /// Panics if `sys` is not well-sorted.
-pub fn solve_regelem(sys: &ChcSystem, cfg: &RegElemConfig) -> (RegElemAnswer, RegElemStats) {
-    solve_regelem_guarded(sys, cfg, &Guard::new())
-}
-
-/// [`solve_regelem`] with cooperative cancellation: the guard is
-/// threaded into every phase — the refuter, the regular pipeline, the
-/// elementary sweep, and the combined-candidate sweep. A trip yields
-/// [`RegElemAnswer::Interrupted`] with partial statistics; the
-/// automaton store never caches a partial fixpoint, so the work done
-/// so far stays sound.
-///
-/// # Panics
-///
-/// Same conditions as [`solve_regelem`].
 pub fn solve_regelem_guarded(
     sys: &ChcSystem,
     cfg: &RegElemConfig,
@@ -462,7 +454,7 @@ mod tests {
     #[test]
     fn evendiag_needs_the_combined_phase() {
         let sys = even_diag();
-        let (answer, stats) = solve_regelem(&sys, &quick());
+        let (answer, stats) = solve_regelem_guarded(&sys, &quick(), &Guard::new());
         let (inv, provenance) = match answer {
             RegElemAnswer::Sat(inv, p) => (inv, p),
             other => panic!("expected SAT, got {other:?}"),
@@ -472,17 +464,13 @@ mod tests {
         // The combined search demonstrably routes through the automaton
         // store: the language pool is interned, and the joint products
         // of the repeated cube checks answer from the memo tables.
-        // (Skipped under RINGEN_AUT_CACHE=0, where the store is a
-        // pass-through by design.)
-        if std::env::var("RINGEN_AUT_CACHE").map_or(true, |v| v.trim() != "0") {
-            assert!(stats.store.interned_dftas > 0, "language pool not interned");
-            assert!(
-                stats.store.memo_hits > stats.store.memo_misses,
-                "warm cube checks must hit the joint-product memo (hits {}, misses {})",
-                stats.store.memo_hits,
-                stats.store.memo_misses,
-            );
-        }
+        assert!(stats.store.interned_dftas > 0, "language pool not interned");
+        assert!(
+            stats.store.memo_hits > stats.store.memo_misses,
+            "warm cube checks must hit the joint-product memo (hits {}, misses {})",
+            stats.store.memo_hits,
+            stats.store.memo_misses,
+        );
         // Any certified invariant of EvenDiag contains the even
         // diagonal, excludes the odd diagonal (parity query) and stays
         // inside the diagonal (disequality query).
@@ -506,7 +494,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_regelem(&sys, &quick());
+        let (answer, _) = solve_regelem_guarded(&sys, &quick(), &Guard::new());
         assert!(answer.is_unsat());
     }
 
@@ -522,7 +510,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_regelem(&sys, &RegElemConfig::quick());
+        let (answer, _) = solve_regelem_guarded(&sys, &RegElemConfig::quick(), &Guard::new());
         let (inv, provenance) = match answer {
             RegElemAnswer::Sat(inv, p) => (inv, p),
             other => panic!("expected SAT, got {other:?}"),
@@ -541,7 +529,16 @@ mod tests {
         let sys = even_diag();
         let mut cfg = quick();
         cfg.max_assignments = 1;
-        let (answer, _) = solve_regelem(&sys, &cfg);
+        let (answer, _) = solve_regelem_guarded(&sys, &cfg, &Guard::new());
         assert!(answer.is_unknown());
+    }
+
+    #[test]
+    fn cancelled_guard_interrupts_before_any_phase() {
+        let g = Guard::new();
+        g.cancel();
+        let (answer, stats) = solve_regelem_guarded(&even_diag(), &RegElemConfig::quick(), &g);
+        assert!(answer.is_interrupted(), "got {answer:?}");
+        assert_eq!(stats.assignments, 0);
     }
 }

@@ -7,9 +7,9 @@
 //! `EvenLeftDiag`) whose invariants live outside every Figure 3 class.
 
 use proptest::prelude::*;
-use ringen_automata::Dfta;
+use ringen_automata::{AutStore, Dfta};
 use ringen_benchgen::programs;
-use ringen_core::{solve, Answer, RingenConfig};
+use ringen_core::{solve_guarded, Answer, Guard, RingenConfig};
 use ringen_regelem::{
     check_cube, check_inductive, DpBudget, Lang, RegCubeSat, RegElemCheck, RegElemFormula,
     RegElemInvariant, RegLiteral,
@@ -262,7 +262,12 @@ fn evenleftdiag_combined_invariant_is_certified() {
 #[test]
 fn regular_embedding_preserves_acceptance() {
     let sys = programs::even();
-    let (answer, _) = solve(&sys, &RingenConfig::quick());
+    let (answer, _) = solve_guarded(
+        &sys,
+        &RingenConfig::quick(),
+        &mut AutStore::new(),
+        &Guard::new(),
+    );
     let sat = match answer {
         Answer::Sat(s) => s,
         other => panic!("Even is SAT, got {other:?}"),
@@ -300,14 +305,14 @@ fn showcase_programs_shape() {
 /// and the answer has the forced semantics.
 #[test]
 fn evendiag_builder_solves_combined() {
-    use ringen_regelem::{solve_regelem, Provenance, RegElemAnswer, RegElemConfig};
+    use ringen_regelem::{solve_regelem_guarded, Provenance, RegElemAnswer, RegElemConfig};
     let sys = programs::even_diag();
     let cfg = RegElemConfig {
         regular: None,
         elementary: None,
         ..RegElemConfig::quick()
     };
-    let (answer, _) = solve_regelem(&sys, &cfg);
+    let (answer, _) = solve_regelem_guarded(&sys, &cfg, &Guard::new());
     let (inv, provenance) = match answer {
         RegElemAnswer::Sat(inv, p) => (inv, p),
         other => panic!("expected SAT, got {other:?}"),

@@ -9,7 +9,7 @@
 //!
 //! The solver is *incremental*: clauses can be added between queries,
 //! queries can be posed under assumptions
-//! ([`Solver::solve_under_assumptions`]) with failed-literal unsat-core
+//! ([`Solver::solve_assuming_guarded`]) with failed-literal unsat-core
 //! extraction ([`Solver::failed_assumptions`]), and learnt clauses plus
 //! branching heuristics persist across queries — the FMF size sweep
 //! leans on all three to reuse one solver for the whole sweep.
@@ -17,14 +17,16 @@
 //! # Example
 //!
 //! ```
-//! use ringen_sat::{Lit, SatResult, Solver};
+//! use ringen_sat::{Guard, Lit, SatResult, Solver};
 //!
+//! // An unarmed guard never cancels; a deadline guard would.
+//! let guard = Guard::new();
 //! let mut s = Solver::new();
 //! let a = s.new_var();
 //! let b = s.new_var();
 //! s.add_clause(&[Lit::pos(a), Lit::pos(b)]);
 //! s.add_clause(&[Lit::neg(a)]);
-//! match s.solve() {
+//! match s.solve_guarded(u64::MAX, &guard) {
 //!     SatResult::Sat => {
 //!         assert_eq!(s.value(a), Some(false));
 //!         assert_eq!(s.value(b), Some(true));
@@ -35,9 +37,12 @@
 //! // The same solver can answer restricted follow-up queries without
 //! // rebuilding: assuming `b` is false forces the clause set UNSAT,
 //! // and the failed assumptions name the culprit.
-//! assert_eq!(s.solve_under_assumptions(&[Lit::neg(b)]), SatResult::Unsat);
+//! assert_eq!(
+//!     s.solve_assuming_guarded(u64::MAX, &guard, &[Lit::neg(b)]),
+//!     SatResult::Unsat
+//! );
 //! assert_eq!(s.failed_assumptions(), &[Lit::neg(b)]);
-//! assert_eq!(s.solve(), SatResult::Sat);
+//! assert_eq!(s.solve_guarded(u64::MAX, &guard), SatResult::Sat);
 //! ```
 
 mod solver;

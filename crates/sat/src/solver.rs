@@ -2,7 +2,7 @@
 //!
 //! The solver is *incremental*: clauses may be added between `solve`
 //! calls, queries may be posed under assumptions
-//! ([`Solver::solve_under_assumptions`]), and learnt clauses plus
+//! ([`Solver::solve_assuming_guarded`]), and learnt clauses plus
 //! variable activity survive from one query to the next. When a query
 //! is unsatisfiable because of its assumptions,
 //! [`Solver::failed_assumptions`] returns the subset of assumption
@@ -484,75 +484,37 @@ impl Solver {
         best.map(|v| Lit::with_sign(v, self.phase[v.index()]))
     }
 
-    /// Solves with an effectively unlimited conflict budget.
-    pub fn solve(&mut self) -> SatResult {
-        self.solve_with_budget(u64::MAX)
-    }
-
-    /// Solves, giving up with [`SatResult::Unknown`] after `max_conflicts`
-    /// conflicts. Restarts follow the Luby sequence.
-    pub fn solve_with_budget(&mut self, max_conflicts: u64) -> SatResult {
-        self.solve_inner(max_conflicts, None, &[])
-    }
-
-    /// [`Solver::solve_with_budget`] under a cooperative [`Guard`]:
-    /// gives up with [`SatResult::Unknown`] when either the conflict
-    /// budget runs out *or* the token trips (polled every
+    /// Solves under a cooperative [`Guard`], giving up with
+    /// [`SatResult::Unknown`] when either `max_conflicts` conflicts are
+    /// spent *or* the token trips (polled every
     /// [`GUARD_CONFLICT_PERIOD`] conflicts and every
     /// [`GUARD_DECISION_PERIOD`] decisions, so a propagation-heavy
-    /// instance cannot outrun its deadline). The solver stays in a
-    /// consistent state and can be re-solved with a fresh budget; the
-    /// caller distinguishes "budget" from "cancelled" by checking the
-    /// guard afterwards.
+    /// instance cannot outrun its deadline). Restarts follow the Luby
+    /// sequence. The solver stays in a consistent state and can be
+    /// re-solved with a fresh budget; the caller distinguishes "budget"
+    /// from "cancelled" by checking the guard afterwards.
     pub fn solve_guarded(&mut self, max_conflicts: u64, guard: &Guard) -> SatResult {
-        self.solve_inner(max_conflicts, Some(guard), &[])
+        self.solve_assuming_guarded(max_conflicts, guard, &[])
     }
 
-    /// Solves under `assumptions`: each literal is forced for the
-    /// duration of this query only (installed as a pseudo-decision, so
-    /// nothing learnt from it outlives the call incorrectly — learnt
-    /// clauses never mention assumption polarity, only consequences of
-    /// the clause set). On [`SatResult::Unsat`],
+    /// [`Solver::solve_guarded`] under `assumptions`: each literal is
+    /// forced for the duration of this query only (installed as a
+    /// pseudo-decision, so nothing learnt from it outlives the call
+    /// incorrectly — learnt clauses never mention assumption polarity,
+    /// only consequences of the clause set). On [`SatResult::Unsat`],
     /// [`Solver::failed_assumptions`] names the responsible subset.
-    pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_inner(u64::MAX, None, assumptions)
-    }
-
-    /// [`Solver::solve_under_assumptions`] with a conflict budget.
-    pub fn solve_assuming_with_budget(
-        &mut self,
-        max_conflicts: u64,
-        assumptions: &[Lit],
-    ) -> SatResult {
-        self.solve_inner(max_conflicts, None, assumptions)
-    }
-
-    /// [`Solver::solve_under_assumptions`] with a conflict budget and a
-    /// cooperative [`Guard`] (same polling contract as
-    /// [`Solver::solve_guarded`]).
     pub fn solve_assuming_guarded(
         &mut self,
         max_conflicts: u64,
         guard: &Guard,
         assumptions: &[Lit],
     ) -> SatResult {
-        self.solve_inner(max_conflicts, Some(guard), assumptions)
-    }
-
-    fn solve_inner(
-        &mut self,
-        max_conflicts: u64,
-        guard: Option<&Guard>,
-        assumptions: &[Lit],
-    ) -> SatResult {
         self.failed.clear();
         if self.broken {
             return SatResult::Unsat;
         }
-        if let Some(g) = guard {
-            if g.is_cancelled() {
-                return SatResult::Unknown;
-            }
+        if guard.is_cancelled() {
+            return SatResult::Unknown;
         }
         for l in assumptions {
             assert!(l.var().index() < self.num_vars(), "stale assumption {l}");
@@ -579,13 +541,11 @@ impl Solver {
                         self.backjump(0);
                         return SatResult::Unknown;
                     }
-                    if let Some(g) = guard {
-                        if (self.conflicts - start_conflicts).is_multiple_of(GUARD_CONFLICT_PERIOD)
-                            && g.is_cancelled()
-                        {
-                            self.backjump(0);
-                            return SatResult::Unknown;
-                        }
+                    if (self.conflicts - start_conflicts).is_multiple_of(GUARD_CONFLICT_PERIOD)
+                        && guard.is_cancelled()
+                    {
+                        self.backjump(0);
+                        return SatResult::Unknown;
                     }
                     let (learnt, back) = self.analyze(conflict);
                     self.backjump(back);
@@ -640,11 +600,9 @@ impl Solver {
                     Some(l) => {
                         decisions += 1;
                         self.decisions += 1;
-                        if let Some(g) = guard {
-                            if decisions.is_multiple_of(GUARD_DECISION_PERIOD) && g.is_cancelled() {
-                                self.backjump(0);
-                                return SatResult::Unknown;
-                            }
+                        if decisions.is_multiple_of(GUARD_DECISION_PERIOD) && guard.is_cancelled() {
+                            self.backjump(0);
+                            return SatResult::Unknown;
                         }
                         self.trail_lim.push(self.trail.len());
                         self.enqueue(l, None);
@@ -702,21 +660,21 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 1);
         s.add_clause(&[Lit::pos(v[0])]);
-        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Sat);
         assert_eq!(s.value(v[0]), Some(true));
 
         let mut s = Solver::new();
         let v = lits(&mut s, 1);
         s.add_clause(&[Lit::pos(v[0])]);
         assert!(!s.add_clause(&[Lit::neg(v[0])]));
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Unsat);
     }
 
     #[test]
     fn empty_clause_is_unsat() {
         let mut s = Solver::new();
         assert!(!s.add_clause(&[]));
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Unsat);
     }
 
     #[test]
@@ -725,7 +683,7 @@ mod tests {
         let v = lits(&mut s, 2);
         assert!(s.add_clause(&[Lit::pos(v[0]), Lit::neg(v[0])]));
         assert!(s.add_clause(&[Lit::pos(v[1]), Lit::pos(v[1])]));
-        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Sat);
         assert_eq!(s.value(v[1]), Some(true));
     }
 
@@ -738,7 +696,7 @@ mod tests {
         for i in 0..19 {
             s.add_clause(&[Lit::neg(v[i]), Lit::pos(v[i + 1])]);
         }
-        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Sat);
         assert!(v.iter().all(|&x| s.value(x) == Some(true)));
         assert!(s.propagation_count() >= 20);
     }
@@ -761,7 +719,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Unsat);
     }
 
     #[test]
@@ -783,7 +741,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Unsat);
         assert!(s.conflict_count() > 0);
     }
 
@@ -796,7 +754,7 @@ mod tests {
             s.add_clause(&[Lit::pos(v[i]), Lit::pos(v[i + 1])]);
             s.add_clause(&[Lit::neg(v[i]), Lit::neg(v[i + 1])]);
         }
-        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Sat);
         for i in 0..9 {
             assert_ne!(s.value(v[i]), s.value(v[i + 1]));
         }
@@ -822,9 +780,9 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve_with_budget(3), SatResult::Unknown);
+        assert_eq!(s.solve_guarded(3, &Guard::new()), SatResult::Unknown);
         // And it can continue afterwards to a definite answer.
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Unsat);
     }
 
     #[test]
@@ -866,7 +824,7 @@ mod tests {
         // Already satisfied at root; must not confuse the solver.
         assert!(s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]));
         assert!(s.add_clause(&[Lit::neg(v[0]), Lit::pos(v[1])]));
-        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Sat);
         assert_eq!(s.value(v[1]), Some(true));
     }
 
@@ -883,7 +841,7 @@ mod tests {
         let mut s = Solver::new();
         let v = lits(&mut s, 4);
         s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
-        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Sat);
         for _ in 0..(1 << 4) {
             // Block the current total model.
             let block: Vec<Lit> = v
@@ -891,7 +849,7 @@ mod tests {
                 .map(|&x| Lit::with_sign(x, s.value(x) != Some(true)))
                 .collect();
             s.add_clause(&block);
-            if s.solve() == SatResult::Unsat {
+            if s.solve_guarded(u64::MAX, &Guard::new()) == SatResult::Unsat {
                 return; // all models enumerated
             }
         }
@@ -905,7 +863,7 @@ mod tests {
         let v = lits(&mut s, 2);
         s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
         let mut count = 0;
-        while s.solve() == SatResult::Sat {
+        while s.solve_guarded(u64::MAX, &Guard::new()) == SatResult::Sat {
             count += 1;
             assert!(count <= 4, "runaway enumeration");
             let block: Vec<Lit> = v
@@ -923,16 +881,19 @@ mod tests {
         let v = lits(&mut s, 2);
         s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
         // Under ¬x0 the clause forces x1.
-        assert_eq!(s.solve_under_assumptions(&[Lit::neg(v[0])]), SatResult::Sat);
+        assert_eq!(
+            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &[Lit::neg(v[0])]),
+            SatResult::Sat
+        );
         assert_eq!(s.value(v[0]), Some(false));
         assert_eq!(s.value(v[1]), Some(true));
         // Under ¬x0 ∧ ¬x1 it is unsatisfiable...
         assert_eq!(
-            s.solve_under_assumptions(&[Lit::neg(v[0]), Lit::neg(v[1])]),
+            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &[Lit::neg(v[0]), Lit::neg(v[1])]),
             SatResult::Unsat
         );
         // ...but the solver itself is not poisoned.
-        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Sat);
     }
 
     #[test]
@@ -946,13 +907,19 @@ mod tests {
             Lit::pos(v[3]),
             Lit::pos(v[1]),
         ];
-        assert_eq!(s.solve_under_assumptions(&assumptions), SatResult::Unsat);
+        assert_eq!(
+            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &assumptions),
+            SatResult::Unsat
+        );
         let mut core = s.failed_assumptions().to_vec();
         core.sort();
         // The irrelevant assumptions x2, x3 are not in the core.
         assert_eq!(core, vec![Lit::pos(v[0]), Lit::pos(v[1])]);
         // The core alone is already unsatisfiable.
-        assert_eq!(s.solve_under_assumptions(&core), SatResult::Unsat);
+        assert_eq!(
+            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &core),
+            SatResult::Unsat
+        );
     }
 
     #[test]
@@ -961,7 +928,7 @@ mod tests {
         let v = lits(&mut s, 2);
         s.add_clause(&[Lit::neg(v[0])]);
         assert_eq!(
-            s.solve_under_assumptions(&[Lit::pos(v[1]), Lit::pos(v[0])]),
+            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &[Lit::pos(v[1]), Lit::pos(v[0])]),
             SatResult::Unsat
         );
         assert_eq!(s.failed_assumptions(), &[Lit::pos(v[0])]);
@@ -974,7 +941,7 @@ mod tests {
         s.add_clause(&[Lit::pos(v[0])]);
         s.add_clause(&[Lit::neg(v[0])]);
         assert_eq!(
-            s.solve_under_assumptions(&[Lit::pos(v[0])]),
+            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &[Lit::pos(v[0])]),
             SatResult::Unsat
         );
         assert!(s.failed_assumptions().is_empty());
@@ -1004,14 +971,14 @@ mod tests {
             }
         }
         assert_eq!(
-            s.solve_under_assumptions(&[Lit::pos(sel)]),
+            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &[Lit::pos(sel)]),
             SatResult::Unsat
         );
         let first = s.conflict_count();
         assert!(first > 0);
         assert!(s.num_learnts() > 0);
         assert_eq!(
-            s.solve_under_assumptions(&[Lit::pos(sel)]),
+            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &[Lit::pos(sel)]),
             SatResult::Unsat
         );
         let second = s.conflict_count() - first;
@@ -1041,7 +1008,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(), SatResult::Unsat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Unsat);
         assert!(s.restart_count() > 0);
         assert!(s.propagation_count() > 0);
     }
@@ -1055,7 +1022,7 @@ mod tests {
         let v = lits(&mut s, 3);
         s.add_clause(&[Lit::pos(v[0]), Lit::pos(v[1])]);
         s.add_clause(&[Lit::pos(v[1]), Lit::pos(v[2])]);
-        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.solve_guarded(u64::MAX, &Guard::new()), SatResult::Sat);
         let mut acts = Vec::new();
         loop {
             let true_set: Vec<Var> = v
@@ -1078,7 +1045,7 @@ mod tests {
             s.add_clause(&drop_one);
             let mut assumptions: Vec<Lit> = vec![Lit::pos(act)];
             assumptions.extend(false_set.iter().map(|&x| Lit::neg(x)));
-            match s.solve_under_assumptions(&assumptions) {
+            match s.solve_assuming_guarded(u64::MAX, &Guard::new(), &assumptions) {
                 SatResult::Sat => continue,
                 SatResult::Unsat => break,
                 SatResult::Unknown => panic!("tiny instance exhausted its budget"),
@@ -1088,7 +1055,10 @@ mod tests {
         for a in &acts {
             s.add_clause(&[Lit::neg(*a)]);
         }
-        assert_eq!(s.solve_under_assumptions(&[]), SatResult::Sat);
+        assert_eq!(
+            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &[]),
+            SatResult::Sat
+        );
         let true_set: Vec<usize> = (0..3).filter(|&i| s.value(v[i]) == Some(true)).collect();
         assert!(
             true_set == vec![1] || true_set == vec![0, 2],
@@ -1135,7 +1105,7 @@ mod tests {
                 let ls: Vec<Lit> = c.iter().map(|&(v, p)| Lit::with_sign(vars[v], p)).collect();
                 s.add_clause(&ls);
             }
-            let got = s.solve();
+            let got = s.solve_guarded(u64::MAX, &Guard::new());
             assert_eq!(
                 got == SatResult::Sat,
                 expected,
@@ -1197,7 +1167,7 @@ mod tests {
                 let mut full = cnf.clone();
                 full.extend(assumed.iter().map(|&(v, p)| vec![(v, p)]));
                 let expected = brute_force(nv, &full).is_some();
-                let got = s.solve_under_assumptions(&assumptions);
+                let got = s.solve_assuming_guarded(u64::MAX, &Guard::new(), &assumptions);
                 assert_eq!(
                     got == SatResult::Sat,
                     expected,
@@ -1215,7 +1185,10 @@ mod tests {
                     let core = s.failed_assumptions().to_vec();
                     assert!(core.iter().all(|l| assumptions.contains(l)));
                     if !broken {
-                        assert_eq!(s.solve_under_assumptions(&core), SatResult::Unsat);
+                        assert_eq!(
+                            s.solve_assuming_guarded(u64::MAX, &Guard::new(), &core),
+                            SatResult::Unsat
+                        );
                     }
                 }
             }

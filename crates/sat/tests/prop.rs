@@ -2,7 +2,7 @@
 //! small CNFs, and models it reports really satisfy the clauses.
 
 use proptest::prelude::*;
-use ringen_sat::{Lit, SatResult, Solver, Var};
+use ringen_sat::{Guard, Lit, SatResult, Solver, Var};
 
 /// A random CNF over `n` variables: clauses are non-empty lists of
 /// signed variable indices.
@@ -38,7 +38,7 @@ proptest! {
             prop_assert!(!expected);
             return Ok(());
         }
-        match s.solve() {
+        match s.solve_guarded(u64::MAX, &Guard::new()) {
             SatResult::Sat => {
                 prop_assert!(expected, "solver claimed SAT on an UNSAT instance");
                 // The model satisfies every clause.

@@ -9,15 +9,16 @@
 //!   inequalities + congruences over term sizes;
 //! * [`SizeElemFormula`] — DNF formulas mixing elementary literals with
 //!   size atoms;
-//! * [`solve_size_elem`] — template-based invariant inference: solves
-//!   size orderings (`LtGt`) and parities (`Even`) that `Elem` cannot
-//!   express, diverges on `EvenLeft` (Prop. 2);
+//! * [`solve_size_elem_guarded`] — template-based invariant inference:
+//!   solves size orderings (`LtGt`) and parities (`Even`) that `Elem`
+//!   cannot express, diverges on `EvenLeft` (Prop. 2);
 //! * [`pumping`] — the executable Lemma 7 ingredients.
 //!
 //! # Example
 //!
 //! ```
-//! use ringen_sizeelem::{solve_size_elem, SizeElemConfig};
+//! use ringen_core::Guard;
+//! use ringen_sizeelem::{solve_size_elem_guarded, SizeElemConfig};
 //!
 //! // Even ∈ SizeElem (Prop. 8): even(x) ⇔ size(x) ≡ 1 (mod 2).
 //! let sys = ringen_chc::parse_str(r#"
@@ -27,7 +28,8 @@
 //!   (assert (forall ((x Nat)) (=> (even x) (even (S (S x))))))
 //!   (assert (forall ((x Nat)) (=> (and (even x) (even (S x))) false)))
 //! "#)?;
-//! let (answer, _) = solve_size_elem(&sys, &SizeElemConfig::quick());
+//! // `Guard::with_deadline` would bound the sweep; this one never trips.
+//! let (answer, _) = solve_size_elem_guarded(&sys, &SizeElemConfig::quick(), &Guard::new());
 //! assert!(answer.is_sat());
 //! # Ok::<(), ringen_chc::ParseError>(())
 //! ```
@@ -43,6 +45,5 @@ pub use lia::{check_lia, LiaConfig, LiaProblem, LiaSat, LinAtom, LinOp, ModAtom}
 pub use linear::{LinearSet, PeriodicSet};
 pub use pumping::{size_elem_pump, term_of_size};
 pub use solver::{
-    solve_size_elem, solve_size_elem_guarded, SizeElemAnswer, SizeElemConfig, SizeElemInvariant,
-    SizeElemStats,
+    solve_size_elem_guarded, SizeElemAnswer, SizeElemConfig, SizeElemInvariant, SizeElemStats,
 };

@@ -156,23 +156,14 @@ pub struct SizeElemStats {
     pub cube_queries: u64,
 }
 
-/// Runs the solver.
-///
-/// # Panics
-///
-/// Panics if `sys` is not well-sorted.
-pub fn solve_size_elem(sys: &ChcSystem, cfg: &SizeElemConfig) -> (SizeElemAnswer, SizeElemStats) {
-    solve_size_elem_guarded(sys, cfg, &Guard::new())
-}
-
-/// [`solve_size_elem`] with cooperative cancellation: the guard is
+/// Runs the solver under cooperative cancellation: the guard is
 /// threaded into the refuter and polled once per candidate assignment
 /// of the template sweep. A trip yields [`SizeElemAnswer::Interrupted`]
 /// with the statistics accumulated so far.
 ///
 /// # Panics
 ///
-/// Same conditions as [`solve_size_elem`].
+/// Panics if `sys` is not well-sorted.
 pub fn solve_size_elem_guarded(
     sys: &ChcSystem,
     cfg: &SizeElemConfig,
@@ -700,7 +691,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_size_elem(&sys, &quick());
+        let (answer, _) = solve_size_elem_guarded(&sys, &quick(), &Guard::new());
         let inv = match answer {
             SizeElemAnswer::Sat(inv) => inv,
             other => panic!("expected SAT (Prop. 8), got {other:?}"),
@@ -725,7 +716,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_size_elem(&sys, &quick());
+        let (answer, _) = solve_size_elem_guarded(&sys, &quick(), &Guard::new());
         let inv = match answer {
             SizeElemAnswer::Sat(inv) => inv,
             other => panic!("expected SAT (Prop. 12), got {other:?}"),
@@ -752,7 +743,7 @@ mod tests {
         .unwrap();
         let mut cfg = quick();
         cfg.max_assignments = 2_000;
-        let (answer, _) = solve_size_elem(&sys, &cfg);
+        let (answer, _) = solve_size_elem_guarded(&sys, &cfg, &Guard::new());
         assert!(answer.is_unknown(), "EvenLeft ∉ SizeElem, got {answer:?}");
     }
 
@@ -767,7 +758,26 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_size_elem(&sys, &quick());
+        let (answer, _) = solve_size_elem_guarded(&sys, &quick(), &Guard::new());
         assert!(answer.is_unsat());
+    }
+
+    #[test]
+    fn cancelled_guard_interrupts_before_any_assignment() {
+        let sys = parse_str(
+            r#"
+            (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
+            (declare-fun even (Nat) Bool)
+            (assert (even Z))
+            (assert (forall ((x Nat)) (=> (even x) (even (S (S x))))))
+            (assert (forall ((x Nat)) (=> (and (even x) (even (S x))) false)))
+            "#,
+        )
+        .unwrap();
+        let g = Guard::new();
+        g.cancel();
+        let (answer, stats) = solve_size_elem_guarded(&sys, &quick(), &g);
+        assert!(answer.is_interrupted(), "got {answer:?}");
+        assert_eq!(stats.assignments, 0);
     }
 }

@@ -16,7 +16,8 @@
 //! # Example
 //!
 //! ```
-//! use ringen_verimap::{solve_verimap, VerimapAnswer, VerimapConfig};
+//! use ringen_core::Guard;
+//! use ringen_verimap::{solve_verimap_guarded, VerimapAnswer, VerimapConfig};
 //!
 //! let sys = ringen_chc::parse_str(r#"
 //!   (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
@@ -25,7 +26,7 @@
 //!   (assert (forall ((x Nat) (y Nat)) (=> (lt x y) (lt (S x) (S y)))))
 //!   (assert (forall ((x Nat)) (=> (lt x x) false)))
 //! "#)?;
-//! let (answer, _) = solve_verimap(&sys, &VerimapConfig::quick()).unwrap();
+//! let (answer, _) = solve_verimap_guarded(&sys, &VerimapConfig::quick(), &Guard::new()).unwrap();
 //! assert!(answer.is_sat()); // size ordering survives the abstraction
 //! # Ok::<(), ringen_chc::ParseError>(())
 //! ```
@@ -37,11 +38,11 @@ use ringen_sizeelem::{
     solve_size_elem_guarded, SizeElemAnswer, SizeElemConfig, SizeElemInvariant, SizeElemStats,
 };
 
-/// Budgets for [`solve_verimap`].
+/// Budgets for [`solve_verimap_guarded`].
 #[derive(Debug, Clone, Default)]
 pub struct VerimapConfig {
     /// The underlying size-engine configuration; `elem_atoms` and
-    /// `elem_projection` are forced off by [`solve_verimap`].
+    /// `elem_projection` are forced off by [`solve_verimap_guarded`].
     pub engine: SizeElemConfig,
 }
 
@@ -92,20 +93,8 @@ impl VerimapAnswer {
     }
 }
 
-/// Runs the ADT-eliminating pipeline.
-///
-/// # Errors
-///
-/// Returns [`IllSorted`] if `sys` is not well-sorted.
-pub fn solve_verimap(
-    sys: &ChcSystem,
-    cfg: &VerimapConfig,
-) -> Result<(VerimapAnswer, SizeElemStats), IllSorted> {
-    solve_verimap_guarded(sys, cfg, &Guard::new())
-}
-
-/// [`solve_verimap`] with cooperative cancellation (threaded into the
-/// underlying size engine).
+/// Runs the ADT-eliminating pipeline under cooperative cancellation
+/// (the guard is threaded into the underlying size engine).
 ///
 /// # Errors
 ///
@@ -152,7 +141,7 @@ mod tests {
         .unwrap();
         let mut cfg = VerimapConfig::quick();
         cfg.engine.max_assignments = 2_000;
-        let (answer, _) = solve_verimap(&sys, &cfg).unwrap();
+        let (answer, _) = solve_verimap_guarded(&sys, &cfg, &Guard::new()).unwrap();
         assert!(answer.is_unknown(), "got {answer:?}");
     }
 
@@ -168,7 +157,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_verimap(&sys, &VerimapConfig::quick()).unwrap();
+        let (answer, _) =
+            solve_verimap_guarded(&sys, &VerimapConfig::quick(), &Guard::new()).unwrap();
         assert!(answer.is_sat(), "got {answer:?}");
     }
 
@@ -183,7 +173,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_verimap(&sys, &VerimapConfig::quick()).unwrap();
+        let (answer, _) =
+            solve_verimap_guarded(&sys, &VerimapConfig::quick(), &Guard::new()).unwrap();
         assert!(answer.is_unsat());
     }
 
@@ -204,7 +195,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        let (answer, _) = solve_verimap(&sys, &VerimapConfig::quick()).unwrap();
+        let (answer, _) =
+            solve_verimap_guarded(&sys, &VerimapConfig::quick(), &Guard::new()).unwrap();
         assert!(answer.is_sat(), "got {answer:?}");
     }
 
@@ -228,7 +220,7 @@ mod tests {
         .unwrap();
         let mut cfg = VerimapConfig::quick();
         cfg.engine.max_assignments = 2_000;
-        let (answer, _) = solve_verimap(&sys, &cfg).unwrap();
+        let (answer, _) = solve_verimap_guarded(&sys, &cfg, &Guard::new()).unwrap();
         assert!(answer.is_unknown(), "got {answer:?}");
     }
 
@@ -256,7 +248,26 @@ mod tests {
         cfg.engine.max_assignments = 2_000;
         // With elem atoms this system is Elem-solvable (Diag); the
         // transformer must still diverge because it forces them off.
-        let (answer, _) = solve_verimap(&sys, &cfg).unwrap();
+        let (answer, _) = solve_verimap_guarded(&sys, &cfg, &Guard::new()).unwrap();
         assert!(answer.is_unknown(), "got {answer:?}");
+    }
+
+    #[test]
+    fn cancelled_guard_interrupts() {
+        let sys = parse_str(
+            r#"
+            (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
+            (declare-fun even (Nat) Bool)
+            (assert (even Z))
+            (assert (forall ((x Nat)) (=> (even x) (even (S (S x))))))
+            (assert (forall ((x Nat)) (=> (and (even x) (even (S x))) false)))
+            "#,
+        )
+        .unwrap();
+        let g = Guard::new();
+        g.cancel();
+        let (answer, stats) = solve_verimap_guarded(&sys, &VerimapConfig::quick(), &g).unwrap();
+        assert!(answer.is_interrupted(), "got {answer:?}");
+        assert_eq!(stats.assignments, 0);
     }
 }

@@ -6,10 +6,11 @@
 //! cargo run --release --example expressiveness
 //! ```
 
+use ringen::automata::AutStore;
 use ringen::benchgen::programs;
-use ringen::core::{solve, RingenConfig};
-use ringen::elem::{solve_elem, ElemConfig};
-use ringen::sizeelem::{solve_size_elem, SizeElemConfig};
+use ringen::core::{solve_guarded, Guard, RingenConfig};
+use ringen::elem::{solve_elem_guarded, ElemConfig};
+use ringen::sizeelem::{solve_size_elem_guarded, SizeElemConfig};
 
 fn main() {
     println!(
@@ -23,9 +24,16 @@ fn main() {
         ("Even", programs::even()),
         ("EvenLeft", programs::even_left()),
     ] {
-        let elem = solve_elem(&sys, &ElemConfig::quick()).0.is_sat();
-        let size = solve_size_elem(&sys, &SizeElemConfig::quick()).0.is_sat();
-        let reg = solve(&sys, &RingenConfig::quick()).0.is_sat();
+        let guard = Guard::new();
+        let elem = solve_elem_guarded(&sys, &ElemConfig::quick(), &guard)
+            .0
+            .is_sat();
+        let size = solve_size_elem_guarded(&sys, &SizeElemConfig::quick(), &guard)
+            .0
+            .is_sat();
+        let reg = solve_guarded(&sys, &RingenConfig::quick(), &mut AutStore::new(), &guard)
+            .0
+            .is_sat();
         let mark = |b: bool| if b { "yes" } else { "-" };
         println!(
             "{:<10} {:>6} {:>9} {:>6}",

@@ -20,7 +20,8 @@
 //! `Interrupted`, and the process still exits cleanly.
 
 use ringen::benchgen::programs;
-use ringen::portfolio::{solve_portfolio, PortfolioAnswer, PortfolioConfig};
+use ringen::core::Guard;
+use ringen::portfolio::{solve_portfolio_guarded, PortfolioAnswer, PortfolioConfig};
 
 fn main() {
     let cfg = PortfolioConfig::from_env();
@@ -36,7 +37,7 @@ fn main() {
         ("EvenDiag", programs::even_diag()), // needs the combination
     ];
     for (name, sys) in cases {
-        let (answer, stats) = solve_portfolio(&sys, &cfg);
+        let (answer, stats) = solve_portfolio_guarded(&sys, &cfg, &Guard::new());
         let verdict = match &answer {
             PortfolioAnswer::Sat(_) => "SAT",
             PortfolioAnswer::Unsat(_) => "UNSAT",

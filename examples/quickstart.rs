@@ -4,8 +4,9 @@
 //! cargo run --example quickstart
 //! ```
 
+use ringen::automata::AutStore;
 use ringen::chc::parse_str;
-use ringen::core::{solve, Answer, RingenConfig};
+use ringen::core::{solve_guarded, Answer, Guard, RingenConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `even` over Peano numbers: the assertion says no two consecutive
@@ -22,7 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "#,
     )?;
 
-    let (answer, stats) = solve(&sys, &RingenConfig::default());
+    // `Guard::with_deadline` would bound the run; this guard never trips.
+    let guard = Guard::new();
+    let mut store = AutStore::new();
+    let (answer, stats) = solve_guarded(&sys, &RingenConfig::default(), &mut store, &guard);
     match answer {
         Answer::Sat(sat) => {
             println!("sat — the program is safe");
@@ -32,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         Answer::Unsat(r) => println!("unsat — refutation with {} steps", r.len()),
         Answer::Unknown(d) => println!("unknown: {d:?}"),
-        // Unreachable: this solve carries no guard.
+        // Unreachable: this guard is never cancelled.
         Answer::Interrupted => println!("interrupted"),
     }
     Ok(())

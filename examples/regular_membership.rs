@@ -15,7 +15,7 @@
 use ringen::automata::Dfta;
 use ringen::benchgen::programs;
 use ringen::regelem::{
-    check_inductive, solve_regelem, DpBudget, Lang, RegElemConfig, RegElemFormula,
+    check_inductive, solve_regelem_guarded, DpBudget, Lang, RegElemConfig, RegElemFormula,
     RegElemInvariant, RegLiteral,
 };
 use ringen::terms::{GroundTerm, Term, VarId};
@@ -70,7 +70,7 @@ fn main() {
         elementary: None,
         ..RegElemConfig::quick()
     };
-    let (answer, stats) = solve_regelem(&sys, &cfg);
+    let (answer, stats) = solve_regelem_guarded(&sys, &cfg, &ringen::core::Guard::new());
     match answer {
         ringen::regelem::RegElemAnswer::Sat(found, provenance) => {
             println!(

@@ -6,14 +6,16 @@
 //! cargo run --release --example stlc_inhabitation
 //! ```
 
+use ringen::automata::AutStore;
 use ringen::benchgen::stlc::{type_check_system, TypeExpr};
-use ringen::core::{solve, Answer, RingenConfig};
+use ringen::core::{solve_guarded, Answer, Guard, RingenConfig};
 
 fn main() {
     let goal = TypeExpr::paper_goal();
     println!("goal scheme: (a -> b) -> a");
     let sys = type_check_system(&goal);
-    let (answer, _) = solve(&sys, &RingenConfig::default());
+    let guard = Guard::new();
+    let (answer, _) = solve_guarded(&sys, &RingenConfig::default(), &mut AutStore::new(), &guard);
     match answer {
         Answer::Sat(sat) => {
             println!(
@@ -29,7 +31,7 @@ fn main() {
     let sys = type_check_system(&TypeExpr::peirce());
     let mut cfg = RingenConfig::quick();
     cfg.finder.max_total_size = 7;
-    let (answer, _) = solve(&sys, &cfg);
+    let (answer, _) = solve_guarded(&sys, &cfg, &mut AutStore::new(), &guard);
     match answer {
         Answer::Unknown(_) => println!("diverged — exactly as §5 reports for Peirce's law"),
         other => println!("unexpected: {other:?}"),

@@ -44,7 +44,8 @@
 //! # Quickstart
 //!
 //! ```
-//! use ringen::core::{solve, Answer, RingenConfig};
+//! use ringen::automata::AutStore;
+//! use ringen::core::{solve_guarded, Answer, Guard, RingenConfig};
 //!
 //! // Example 1 of the paper: no two consecutive Peano numbers are even.
 //! let sys = ringen::chc::parse_str(r#"
@@ -54,7 +55,12 @@
 //!   (assert (forall ((x Nat)) (=> (even x) (even (S (S x))))))
 //!   (assert (forall ((x Nat)) (=> (and (even x) (even (S x))) false)))
 //! "#)?;
-//! let (answer, _) = solve(&sys, &RingenConfig::default());
+//! let (answer, _) = solve_guarded(
+//!     &sys,
+//!     &RingenConfig::default(),
+//!     &mut AutStore::new(),
+//!     &Guard::new(), // never trips; `Guard::with_deadline` bounds the run
+//! );
 //! match answer {
 //!     Answer::Sat(sat) => assert_eq!(sat.invariant.state_count(), 2),
 //!     other => panic!("expected SAT, got {other:?}"),

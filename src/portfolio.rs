@@ -12,10 +12,11 @@
 //! verdicts.
 //!
 //! ```no_run
-//! use ringen::portfolio::{solve_portfolio, PortfolioConfig};
+//! use ringen::core::Guard;
+//! use ringen::portfolio::{solve_portfolio_guarded, PortfolioConfig};
 //!
 //! let sys = ringen::benchgen::programs::even_diag();
-//! let (answer, stats) = solve_portfolio(&sys, &PortfolioConfig::default());
+//! let (answer, stats) = solve_portfolio_guarded(&sys, &PortfolioConfig::default(), &Guard::new());
 //! assert!(answer.is_sat()); // RegElem wins; the other three are cancelled
 //! for report in &stats.engines {
 //!     println!("{:<10} {:?} after {:?}", report.name, report.status, report.elapsed);
@@ -87,7 +88,7 @@ impl PortfolioAnswer {
 /// Number of entrants in the race.
 const ENGINES: usize = 4;
 
-/// Budgets and knobs for [`solve_portfolio`].
+/// Budgets and knobs for [`solve_portfolio_guarded`].
 ///
 /// The engine configurations default to *racing* budgets: sweep limits
 /// high enough that an entrant effectively runs until cancelled. A
@@ -195,16 +196,8 @@ fn regelem_verdict(a: &RegElemAnswer) -> EngineVerdict {
     }
 }
 
-/// Races the four engines on `sys`; see the module docs.
-pub fn solve_portfolio(
-    sys: &ChcSystem,
-    cfg: &PortfolioConfig,
-) -> (PortfolioAnswer, PortfolioStats) {
-    solve_portfolio_guarded(sys, cfg, &Guard::new())
-}
-
-/// [`solve_portfolio`] under an outer [`Guard`]: cancelling it cancels
-/// every entrant.
+/// Races the four engines on `sys` (see the module docs) under an
+/// outer [`Guard`]: cancelling it cancels every entrant.
 pub fn solve_portfolio_guarded(
     sys: &ChcSystem,
     cfg: &PortfolioConfig,

@@ -2,14 +2,20 @@
 //! discovers the paper's invariant ℐ for `(a → b) → a`, its semantics
 //! match the paper's description, and Peirce's law diverges.
 
+use ringen::automata::AutStore;
 use ringen::benchgen::stlc::{type_check_system, TypeExpr};
-use ringen::core::{solve, Answer, RingenConfig};
+use ringen::core::{solve_guarded, Answer, Guard, RingenConfig};
 use ringen::terms::GroundTerm;
 
 #[test]
 fn paper_goal_gets_the_six_state_invariant() {
     let sys = type_check_system(&TypeExpr::paper_goal());
-    let (answer, stats) = solve(&sys, &RingenConfig::default());
+    let (answer, stats) = solve_guarded(
+        &sys,
+        &RingenConfig::default(),
+        &mut AutStore::new(),
+        &Guard::new(),
+    );
     let sat = match answer {
         Answer::Sat(s) => s,
         other => panic!("expected SAT, got {other:?}"),
@@ -50,6 +56,6 @@ fn peirce_diverges() {
     let sys = type_check_system(&TypeExpr::peirce());
     let mut cfg = RingenConfig::quick();
     cfg.finder.max_total_size = 7;
-    let (answer, _) = solve(&sys, &cfg);
+    let (answer, _) = solve_guarded(&sys, &cfg, &mut AutStore::new(), &Guard::new());
     assert!(answer.is_unknown(), "Peirce must diverge, got {answer:?}");
 }

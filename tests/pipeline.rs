@@ -2,12 +2,14 @@
 //! exercises all preprocessing passes at once: testers, selectors,
 //! disequalities and equalities.
 
+use ringen::automata::AutStore;
 use ringen::chc::parse_str;
 use ringen::core::preprocess::{preprocess, skolemize};
 use ringen::core::{
-    check_inductive, check_refutation, solve, Answer, RegularInvariant, RingenConfig,
+    check_inductive_guarded, check_refutation, solve_guarded, Answer, Guard, RegularInvariant,
+    RingenConfig,
 };
-use ringen::fmf::{find_model, FinderConfig};
+use ringen::fmf::{find_model_guarded, FinderConfig};
 
 fn full_featured_system() -> ringen::chc::ChcSystem {
     // p marks non-zero evens; the query mixes a tester, a selector and a
@@ -44,16 +46,25 @@ fn figure1_every_arrow() {
     assert!(pre.stats.tester_preds >= 1);
 
     // Arrow 4: the finite-model finder.
-    let (outcome, _) = find_model(&pre.skolemized, &FinderConfig::default()).unwrap();
+    let (outcome, _) =
+        find_model_guarded(&pre.skolemized, &FinderConfig::default(), &Guard::new()).unwrap();
     let model = outcome.model().expect("a finite model exists");
     assert!(model.satisfies(&pre.skolemized));
 
     // Arrow 5: Theorem 1 — model to tree-tuple automaton.
     let inv = RegularInvariant::from_model(&pre.system, &model);
-    assert!(check_inductive(&pre.system, &inv).is_inductive());
+    assert!(
+        check_inductive_guarded(&pre.system, &inv, &mut AutStore::new(), &Guard::new())
+            .is_inductive()
+    );
 
     // The invariant solves the original problem end to end.
-    let (answer, stats) = solve(&sys, &RingenConfig::default());
+    let (answer, stats) = solve_guarded(
+        &sys,
+        &RingenConfig::default(),
+        &mut AutStore::new(),
+        &Guard::new(),
+    );
     let sat = match answer {
         Answer::Sat(s) => s,
         other => panic!("expected SAT, got {other:?}"),
@@ -87,7 +98,12 @@ fn refutations_replay_end_to_end() {
         "#,
     )
     .unwrap();
-    let (answer, _) = solve(&sys, &RingenConfig::default());
+    let (answer, _) = solve_guarded(
+        &sys,
+        &RingenConfig::default(),
+        &mut AutStore::new(),
+        &Guard::new(),
+    );
     let r = match answer {
         Answer::Unsat(r) => r,
         other => panic!("expected UNSAT, got {other:?}"),

@@ -2,7 +2,7 @@
 //! racer: a divergent system under a tight deadline comes home as
 //! `Interrupted` with partial stats (no panic, no hang) at 1 and 4
 //! worker threads, and the race agrees with the sequential
-//! `solve_regelem` chain on the showcase programs while actually
+//! `solve_regelem_guarded` chain on the showcase programs while actually
 //! cancelling the losers.
 
 use std::time::{Duration, Instant};
@@ -11,8 +11,8 @@ use ringen::automata::AutStore;
 use ringen::benchgen::programs;
 use ringen::core::{solve_guarded, Answer, Guard, RingenConfig};
 use ringen::parallel::ParallelConfig;
-use ringen::portfolio::{solve_portfolio, EngineStatus, PortfolioAnswer, PortfolioConfig};
-use ringen::regelem::{solve_regelem, RegElemAnswer, RegElemConfig};
+use ringen::portfolio::{solve_portfolio_guarded, EngineStatus, PortfolioAnswer, PortfolioConfig};
+use ringen::regelem::{solve_regelem_guarded, RegElemAnswer, RegElemConfig};
 
 /// Diag diverges under the regular-invariant engine (Prop. 11: the
 /// diagonal is not regular), so the finder sweeps sizes forever; a
@@ -67,7 +67,7 @@ fn deadlined_portfolio_race_degrades_gracefully() {
             ..PortfolioConfig::default()
         };
         let start = Instant::now();
-        let (answer, stats) = solve_portfolio(&sys, &cfg);
+        let (answer, stats) = solve_portfolio_guarded(&sys, &cfg, &Guard::new());
         assert!(
             answer.is_interrupted(),
             "threads={threads}: expected Interrupted, got {answer:?}"
@@ -80,10 +80,11 @@ fn deadlined_portfolio_race_degrades_gracefully() {
     }
 }
 
-/// The race returns the same verdict as the sequential `solve_regelem`
-/// chain on the four `hybrid_portfolio` programs, and in every decided
-/// race at least one losing engine is *cancelled* (observed via
-/// `PortfolioStats`), not merely left to finish.
+/// The race returns the same verdict as the sequential
+/// `solve_regelem_guarded` chain on the four `hybrid_portfolio`
+/// programs, and in every decided race at least one losing engine is
+/// *cancelled* (observed via `PortfolioStats`), not merely left to
+/// finish.
 #[test]
 fn portfolio_matches_sequential_regelem_and_cancels_losers() {
     let cases = [
@@ -106,12 +107,12 @@ fn portfolio_matches_sequential_regelem_and_cancels_losers() {
         } else {
             RegElemConfig::quick()
         };
-        let (sequential, _) = solve_regelem(&sys, &seq_cfg);
+        let (sequential, _) = solve_regelem_guarded(&sys, &seq_cfg, &Guard::new());
         let cfg = PortfolioConfig {
             parallel: ParallelConfig::with_threads(4),
             ..PortfolioConfig::default()
         };
-        let (raced, stats) = solve_portfolio(&sys, &cfg);
+        let (raced, stats) = solve_portfolio_guarded(&sys, &cfg, &Guard::new());
         let agree = matches!(
             (&sequential, &raced),
             (RegElemAnswer::Sat(..), PortfolioAnswer::Sat(_))

@@ -1,9 +1,10 @@
 //! Property-based integration tests across crates.
 
 use proptest::prelude::*;
+use ringen::automata::AutStore;
 use ringen::benchgen::programs;
 use ringen::chc::{parse_str, to_smtlib};
-use ringen::core::{solve, Answer, RingenConfig};
+use ringen::core::{solve_guarded, Answer, Guard, RingenConfig};
 use ringen::terms::{herbrand::pseudo_random_term, GroundTerm};
 
 proptest! {
@@ -14,7 +15,7 @@ proptest! {
     #[test]
     fn even_invariant_is_parity(n in 0usize..40) {
         let sys = programs::even();
-        let (answer, _) = solve(&sys, &RingenConfig::quick());
+        let (answer, _) = solve_guarded(&sys, &RingenConfig::quick(), &mut AutStore::new(), &Guard::new());
         let sat = match answer { Answer::Sat(s) => s, _ => unreachable!("Even is SAT") };
         let even = sys.rels.by_name("even").unwrap();
         let z = sys.sig.func_by_name("Z").unwrap();
@@ -48,7 +49,7 @@ proptest! {
     #[test]
     fn evenleft_invariant_matches_semantics(seed in 0u64..500) {
         let sys = programs::even_left();
-        let (answer, _) = solve(&sys, &RingenConfig::quick());
+        let (answer, _) = solve_guarded(&sys, &RingenConfig::quick(), &mut AutStore::new(), &Guard::new());
         let sat = match answer { Answer::Sat(s) => s, _ => unreachable!("EvenLeft is SAT") };
         let el = sys.rels.by_name("evenleft").unwrap();
         let tree = sys.sig.sort_by_name("Tree").unwrap();
@@ -72,14 +73,16 @@ proptest! {
     /// and never holds for two consecutive diagonal pairs.
     #[test]
     fn evendiag_invariant_respects_both_queries(n in 0usize..20, m in 0usize..20) {
-        use ringen::regelem::{solve_regelem, RegElemAnswer, RegElemConfig, RegElemInvariant};
+        use ringen::regelem::{
+            solve_regelem_guarded, RegElemAnswer, RegElemConfig, RegElemInvariant,
+        };
         use std::sync::OnceLock;
         static SOLVED: OnceLock<(ringen::chc::ChcSystem, RegElemInvariant)> = OnceLock::new();
         let (sys, inv) = SOLVED.get_or_init(|| {
             let sys = programs::even_diag();
             let cfg =
                 RegElemConfig { regular: None, elementary: None, ..RegElemConfig::quick() };
-            let (answer, _) = solve_regelem(&sys, &cfg);
+            let (answer, _) = solve_regelem_guarded(&sys, &cfg, &Guard::new());
             let inv = match answer {
                 RegElemAnswer::Sat(inv, _) => *inv,
                 other => unreachable!("EvenDiag is SAT, got {other:?}"),

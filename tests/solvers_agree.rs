@@ -3,12 +3,13 @@
 //! carries a verified invariant, and template invariants must contain
 //! the least model while excluding query violations.
 
+use ringen::automata::AutStore;
 use ringen::benchgen::{diseq_suite, positive_eq_suite, tip_suite, Expected};
 use ringen::core::definability::LfpOracle;
 use ringen::core::saturation::SaturationConfig;
-use ringen::core::{solve, Answer, RingenConfig};
-use ringen::elem::{solve_elem, ElemAnswer, ElemConfig};
-use ringen::sizeelem::{solve_size_elem, SizeElemAnswer, SizeElemConfig};
+use ringen::core::{solve_guarded, Answer, Guard, RingenConfig};
+use ringen::elem::{solve_elem_guarded, ElemAnswer, ElemConfig};
+use ringen::sizeelem::{solve_size_elem_guarded, SizeElemAnswer, SizeElemConfig};
 
 fn sample() -> Vec<ringen::benchgen::Benchmark> {
     let mut out = Vec::new();
@@ -32,7 +33,7 @@ fn sample() -> Vec<ringen::benchgen::Benchmark> {
 
 #[test]
 fn no_solver_contradicts_ground_truth() {
-    use ringen::regelem::{solve_regelem, RegElemConfig};
+    use ringen::regelem::{solve_regelem_guarded, RegElemConfig};
     // The combined phase alone: the regular and elementary phases are
     // covered by their own solvers on the previous lines.
     let regelem_cfg = RegElemConfig {
@@ -41,10 +42,16 @@ fn no_solver_contradicts_ground_truth() {
         ..RegElemConfig::quick()
     };
     for b in sample() {
-        let (core_ans, _) = solve(&b.system, &RingenConfig::quick());
-        let (elem_ans, _) = solve_elem(&b.system, &ElemConfig::quick());
-        let (size_ans, _) = solve_size_elem(&b.system, &SizeElemConfig::quick());
-        let (regelem_ans, _) = solve_regelem(&b.system, &regelem_cfg);
+        let (core_ans, _) = solve_guarded(
+            &b.system,
+            &RingenConfig::quick(),
+            &mut AutStore::new(),
+            &Guard::new(),
+        );
+        let (elem_ans, _) = solve_elem_guarded(&b.system, &ElemConfig::quick(), &Guard::new());
+        let (size_ans, _) =
+            solve_size_elem_guarded(&b.system, &SizeElemConfig::quick(), &Guard::new());
+        let (regelem_ans, _) = solve_regelem_guarded(&b.system, &regelem_cfg, &Guard::new());
         let verdicts = [
             ("ringen", core_ans.is_sat(), core_ans.is_unsat()),
             ("elem", elem_ans.is_sat(), elem_ans.is_unsat()),
@@ -78,7 +85,9 @@ fn template_invariants_contain_the_least_model() {
             continue;
         }
         let oracle = LfpOracle::new(&b.system, &cfg);
-        if let (ElemAnswer::Sat(inv), _) = solve_elem(&b.system, &ElemConfig::quick()) {
+        if let (ElemAnswer::Sat(inv), _) =
+            solve_elem_guarded(&b.system, &ElemConfig::quick(), &Guard::new())
+        {
             for p in b.system.rels.iter() {
                 for fact in oracle.members(p) {
                     assert!(
@@ -89,7 +98,8 @@ fn template_invariants_contain_the_least_model() {
                 }
             }
         }
-        if let (SizeElemAnswer::Sat(inv), _) = solve_size_elem(&b.system, &SizeElemConfig::quick())
+        if let (SizeElemAnswer::Sat(inv), _) =
+            solve_size_elem_guarded(&b.system, &SizeElemConfig::quick(), &Guard::new())
         {
             for p in b.system.rels.iter() {
                 for fact in oracle.members(p) {
@@ -118,7 +128,12 @@ fn regular_invariants_contain_the_least_model() {
         if b.expected != Expected::Sat {
             continue;
         }
-        if let (Answer::Sat(sat), _) = solve(&b.system, &RingenConfig::quick()) {
+        if let (Answer::Sat(sat), _) = solve_guarded(
+            &b.system,
+            &RingenConfig::quick(),
+            &mut AutStore::new(),
+            &Guard::new(),
+        ) {
             let oracle = LfpOracle::new(&b.system, &cfg);
             for p in b.system.rels.iter() {
                 for fact in oracle.members(p) {
