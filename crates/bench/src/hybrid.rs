@@ -88,7 +88,6 @@ pub fn run_hybrid(sys: &ChcSystem) -> HybridOutcome {
         finder: crate::finder_config(),
         saturation: SolverKind::RInGen.saturation(),
         verify_invariants: true,
-        verify_refutations: true,
     };
     let (answer, _) = ringen_core::solve_guarded(sys, &cfg, &mut AutStore::new(), &guard);
     match answer {

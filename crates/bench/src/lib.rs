@@ -167,7 +167,6 @@ pub fn run_solver(kind: SolverKind, sys: &ChcSystem) -> (RunAnswer, Option<usize
                 finder: finder_config(),
                 saturation: kind.saturation(),
                 verify_invariants: true,
-                verify_refutations: true,
             };
             let (answer, stats) =
                 ringen_core::solve_guarded(sys, &cfg, &mut AutStore::new(), &guard);

@@ -12,8 +12,9 @@
 //! The `regelem` solver is the hybrid chain: regular invariants by
 //! finite-model finding, then elementary templates, then the combined
 //! template-plus-membership search of `ringen-regelem`. The
-//! `portfolio` solver *races* the four representation-class engines
-//! concurrently instead, with cooperative cancellation; bound it with
+//! `portfolio` solver *races* the bottom-up refuter and the four
+//! representation-class engines concurrently instead, with cooperative
+//! cancellation; bound it with
 //! `RINGEN_DEADLINE_MS` (a deadlined race exits cleanly with
 //! `unknown`).
 //!

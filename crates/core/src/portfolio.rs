@@ -13,7 +13,11 @@
 //! The racer is *generic* in the engine payload: `ringen-core` sits
 //! below the template solvers in the dependency order, so the concrete
 //! elem/sizeelem/regelem/FMF wiring lives in the facade crate
-//! (`ringen::portfolio`).
+//! (`ringen::portfolio`) and the solve service (`ringen-server`). The
+//! one entrant defined here is [`refute`], the bottom-up refuter both
+//! of them race beside the four engines (under [`refute_budget`]): it
+//! needs nothing but this crate's saturation engine, and the engines
+//! call it for their own refutation phase too.
 //!
 //! Degenerate thread counts degrade gracefully: with one worker the
 //! race is the sequential hybrid chain — entrants run in order, and
@@ -25,8 +29,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use ringen_chc::ChcSystem;
 use ringen_obs::report::Section;
 use ringen_parallel::{panic_message, Guard, ParallelConfig, Pool};
+
+use crate::saturation::{
+    check_refutation, saturate_guarded, Refutation, SaturationConfig, SaturationOutcome,
+    SaturationStats,
+};
 
 /// How the racer classifies an engine's answer. `Sat`/`Unsat` are
 /// *definitive* — the first of either ends the race.
@@ -237,6 +247,49 @@ pub enum RaceOutcome<T> {
     /// entrant could decide. The per-engine reports still carry every
     /// partial verdict — the "best partial answer" of a bounded race.
     Interrupted,
+}
+
+/// The bottom-up refuter, the one refutation path of every engine and
+/// the race's `refute` entrant: one saturation of `sys` under `cfg`
+/// (Figure 1's cheap refutation attempt). A refutation is replayed with
+/// [`check_refutation`] before it claims UNSAT, so every UNSAT is
+/// certified; one that fails its replay counts as
+/// `verdict.uncertified` and comes back Unknown. No refutation within
+/// the budgets is Unknown too: the refuter never claims SAT. The
+/// refutation rides along exactly when the verdict is UNSAT.
+pub fn refute(
+    sys: &ChcSystem,
+    cfg: &SaturationConfig,
+    guard: &Guard,
+) -> (EngineVerdict, Option<Refutation>, SaturationStats) {
+    let (outcome, stats) = saturate_guarded(sys, cfg, guard);
+    let (verdict, refutation) = match outcome {
+        SaturationOutcome::Refuted(r) => {
+            if check_refutation(sys, &r).is_ok() {
+                (EngineVerdict::Unsat, Some(r))
+            } else {
+                guard.recorder().add("verdict.uncertified", 1);
+                (EngineVerdict::Unknown, None)
+            }
+        }
+        SaturationOutcome::Interrupted(_) => (EngineVerdict::Interrupted, None),
+        SaturationOutcome::Saturated(_) | SaturationOutcome::Budget(_) => {
+            (EngineVerdict::Unknown, None)
+        }
+    };
+    (verdict, refutation, stats)
+}
+
+/// The `refute` entrant's budgets in both races (`ringen::portfolio`
+/// and `ringen-server`): the default saturation budgets, run inline on
+/// the entrant's own race worker, since the other entrants already
+/// fill the cores. The four engines race beside it with
+/// [`SaturationConfig::zero_rounds`].
+pub fn refute_budget() -> SaturationConfig {
+    SaturationConfig {
+        parallel: ParallelConfig::sequential(),
+        ..SaturationConfig::default()
+    }
 }
 
 struct RunRecord<T> {

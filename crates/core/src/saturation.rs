@@ -169,6 +169,20 @@ impl Default for SaturationConfig {
     }
 }
 
+impl SaturationConfig {
+    /// A budget of zero rounds: [`saturate_guarded`] returns
+    /// [`SaturationOutcome::Budget`] at once, spawning no worker and
+    /// recording no span. Engines racing beside a dedicated refutation
+    /// entrant run with it, so the race refutes once instead of once per
+    /// engine.
+    pub fn zero_rounds() -> Self {
+        SaturationConfig {
+            max_rounds: 0,
+            ..SaturationConfig::default()
+        }
+    }
+}
+
 /// A ground fact in the boxed certificate representation.
 pub type Fact = (PredId, Vec<GroundTerm>);
 
@@ -865,12 +879,19 @@ fn merge_round_semi(
 /// [`SaturationOutcome::Interrupted`] returns the fact base as of the
 /// last completed round — never a torn half-merge — together with the
 /// stats accumulated so far. A guard that never trips leaves the run
-/// unchanged.
+/// unchanged. A zero-round budget ([`SaturationConfig::zero_rounds`])
+/// returns an empty [`SaturationOutcome::Budget`] before any of this.
 pub fn saturate_guarded(
     sys: &ChcSystem,
     cfg: &SaturationConfig,
     guard: &Guard,
 ) -> (SaturationOutcome, SaturationStats) {
+    if cfg.max_rounds == 0 {
+        return (
+            SaturationOutcome::Budget(FactBase::default()),
+            SaturationStats::default(),
+        );
+    }
     // `RINGEN_SAT_DEBUG` arms the recorder's human-readable text sink
     // (the env lookup happens once per call, never per clause); the
     // per-round trace itself goes through `Recorder::text_line`.

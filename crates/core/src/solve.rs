@@ -1,9 +1,9 @@
 //! The end-to-end RInGen solver (Figure 1).
 //!
 //! [`solve_guarded`] orchestrates: a quick bottom-up refutation attempt
-//! (UNSAT with a replayable certificate), then the §4 preprocessing
-//! pipeline and the finite-model search (SAT with a regular invariant,
-//! re-verified inductive by the decidable check of
+//! (UNSAT with a certificate, replayed before it answers), then the §4
+//! preprocessing pipeline and the finite-model search (SAT with a
+//! regular invariant, re-verified inductive by the decidable check of
 //! [`crate::inductive`]). Every budget is a deterministic step count.
 
 use ringen_automata::AutStore;
@@ -13,11 +13,9 @@ use ringen_parallel::Guard;
 
 use crate::inductive::{check_inductive_guarded, InductiveCheck};
 use crate::invariant::RegularInvariant;
+use crate::portfolio::{refute, EngineVerdict};
 use crate::preprocess::{preprocess, PreprocessStats, Preprocessed};
-use crate::saturation::{
-    check_refutation, saturate_guarded, Refutation, SaturationConfig, SaturationOutcome,
-    SaturationStats,
-};
+use crate::saturation::{Refutation, SaturationConfig, SaturationStats};
 
 /// Tuning knobs for [`solve_guarded`].
 #[derive(Debug, Clone)]
@@ -27,11 +25,9 @@ pub struct RingenConfig {
     /// Refuter budgets.
     pub saturation: SaturationConfig,
     /// Re-check SAT invariants with the independent inductiveness
-    /// checker (cheap; on by default).
+    /// checker (cheap; on by default). UNSAT refutations are always
+    /// replayed ([`refute`]).
     pub verify_invariants: bool,
-    /// Replay UNSAT refutations with the independent checker (cheap; on
-    /// by default).
-    pub verify_refutations: bool,
 }
 
 impl Default for RingenConfig {
@@ -40,7 +36,6 @@ impl Default for RingenConfig {
             finder: FinderConfig::default(),
             saturation: SaturationConfig::default(),
             verify_invariants: true,
-            verify_refutations: true,
         }
     }
 }
@@ -204,20 +199,15 @@ fn solve_phases(
     let rec = guard.recorder().clone();
     let mut stats = SolveStats::default();
 
-    // Phase 1: cheap refutation attempt on the original clauses.
-    let (sat_outcome, sat_stats) = saturate_guarded(sys, &cfg.saturation, guard);
+    // Phase 1: cheap refutation attempt on the original clauses,
+    // replayed before it answers UNSAT.
+    let (verdict, refutation, sat_stats) = refute(sys, &cfg.saturation, guard);
     stats.saturation = Some(sat_stats);
-    match sat_outcome {
-        SaturationOutcome::Refuted(r) => {
-            if cfg.verify_refutations {
-                if let Err(e) = check_refutation(sys, &r) {
-                    panic!("refuter produced an invalid refutation: {e}");
-                }
-            }
-            return (Answer::Unsat(r), stats);
-        }
-        SaturationOutcome::Interrupted(_) => return (Answer::Interrupted, stats),
-        SaturationOutcome::Saturated(_) | SaturationOutcome::Budget(_) => {}
+    if let Some(r) = refutation {
+        return (Answer::Unsat(r), stats);
+    }
+    if verdict == EngineVerdict::Interrupted {
+        return (Answer::Interrupted, stats);
     }
 
     // Phase 2: Figure 1 pipeline + finite-model search.

@@ -16,8 +16,9 @@
 use std::collections::BTreeMap;
 
 use ringen_chc::{ChcSystem, Clause, Constraint, PredId};
-use ringen_core::saturation::{saturate_guarded, Refutation, SaturationConfig, SaturationOutcome};
-use ringen_core::{Guard, Poller};
+use ringen_core::portfolio::{refute, EngineVerdict};
+use ringen_core::saturation::{Refutation, SaturationConfig};
+use ringen_core::Guard;
 use ringen_terms::GroundTerm;
 
 use crate::dp::{check_cube, CubeSat};
@@ -134,9 +135,9 @@ pub struct ElemStats {
 }
 
 /// Runs the solver under cooperative cancellation: the guard is
-/// threaded into the refuter and polled once per candidate assignment
-/// of the template sweep. A trip yields [`ElemAnswer::Interrupted`] with
-/// the statistics accumulated so far.
+/// threaded into the refuter and polled before every candidate
+/// assignment of the template sweep. A trip yields
+/// [`ElemAnswer::Interrupted`] with the statistics accumulated so far.
 ///
 /// # Panics
 ///
@@ -152,23 +153,11 @@ pub fn solve_elem_guarded(
     let mut stats = ElemStats::default();
     let rec = guard.recorder().clone();
 
-    // Phase 1: refute.
-    {
-        let mut span = rec.span("elem.refute");
-        let (outcome, _) = saturate_guarded(sys, &cfg.saturation, guard);
-        match outcome {
-            SaturationOutcome::Refuted(r) => {
-                span.note_str("outcome", "refuted");
-                return (ElemAnswer::Unsat(r), stats);
-            }
-            SaturationOutcome::Interrupted(_) => {
-                span.note_str("outcome", "interrupted");
-                return (ElemAnswer::Interrupted, stats);
-            }
-            SaturationOutcome::Saturated(_) | SaturationOutcome::Budget(_) => {
-                span.note_str("outcome", "no_refutation");
-            }
-        }
+    // Phase 1: refute (its `saturate` span notes the outcome).
+    match refute(sys, &cfg.saturation, guard) {
+        (_, Some(r), _) => return (ElemAnswer::Unsat(r), stats),
+        (EngineVerdict::Interrupted, ..) => return (ElemAnswer::Interrupted, stats),
+        _ => {}
     }
 
     // Phase 2: enumerate candidate assignments in order of total index,
@@ -215,14 +204,9 @@ fn elem_sweep_inner(
     if sys.clauses.iter().any(|c| !c.exist_vars.is_empty()) {
         return ElemAnswer::Unknown;
     }
+    // A predicate-free system is a set of ground constraint clauses:
+    // the sweep's one (empty) assignment decides them exactly.
     let preds: Vec<PredId> = sys.rels.iter().collect();
-    if preds.is_empty() {
-        // No uninterpreted symbols: the system is a set of ground
-        // constraint clauses; saturation above already decided it.
-        return ElemAnswer::Sat(ElemInvariant {
-            formulas: BTreeMap::new(),
-        });
-    }
     let pools: Vec<Vec<ElemFormula>> = preds
         .iter()
         .map(|&p| candidates(&sys.sig, &sys.rels.decl(p).domain, &cfg.templates))
@@ -235,10 +219,10 @@ fn elem_sweep_inner(
     let caps: Vec<usize> = pools.iter().map(|p| p.len() - 1).collect();
     let max_total: usize = caps.iter().sum();
     let mut idx = vec![0usize; preds.len()];
-    let mut poller = Poller::new(guard);
     for total in 0..=max_total {
         let stop = for_each_composition(&caps, total, &mut idx, 0, &mut |idx| {
-            if poller.poll() {
+            // One candidate check costs far more than a poll.
+            if guard.is_cancelled() {
                 return Some(Err(Stop::Interrupted));
             }
             stats.assignments += 1;
@@ -437,6 +421,23 @@ mod tests {
         .unwrap();
         let (answer, _) = solve_elem_guarded(&sys, &quick(), &Guard::new());
         assert!(answer.is_unsat());
+    }
+
+    /// Example 3's `Z ≠ S(Z) → ⊥` has no predicate. Without a refuter in
+    /// front, the sweep's one empty assignment must decide it.
+    #[test]
+    fn predicate_free_systems_are_decided_not_assumed() {
+        let cfg = ElemConfig {
+            saturation: SaturationConfig::zero_rounds(),
+            ..quick()
+        };
+        let nat = "(declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))";
+        let unsat = parse_str(&format!("{nat} (assert (=> (distinct Z (S Z)) false))")).unwrap();
+        let (answer, _) = solve_elem_guarded(&unsat, &cfg, &Guard::new());
+        assert!(answer.is_unknown(), "got {answer:?}");
+        let sat = parse_str(&format!("{nat} (assert (=> (= Z (S Z)) false))")).unwrap();
+        let (answer, _) = solve_elem_guarded(&sat, &cfg, &Guard::new());
+        assert!(answer.is_sat(), "got {answer:?}");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! certificates downstream.
 
 use ringen_chc::ChcSystem;
-use ringen_parallel::{Guard, ParallelConfig, Pool};
+use ringen_parallel::{Guard, ParallelConfig, Poller, Pool};
 use ringen_sat::{Lit, SatResult, Solver, Var};
 use ringen_terms::FuncKind;
 
@@ -145,8 +145,11 @@ impl FmfOutcome {
 /// iterating domain-size vectors in order of total size (§4.1–4.2).
 ///
 /// The guard is polled between size vectors, between grounding waves,
-/// and inside the SAT search. A trip yields [`FmfOutcome::Interrupted`]
-/// with the statistics accumulated so far; no partial state escapes.
+/// and inside the SAT search; on the incremental sweep, also while the
+/// tables are encoded, inside each clause's grounding odometer, and
+/// while the grounded instances are added. A trip yields
+/// [`FmfOutcome::Interrupted`] with the statistics accumulated so far;
+/// no partial state escapes.
 ///
 /// # Errors
 ///
@@ -200,7 +203,14 @@ pub fn find_model_guarded(
                     stats.skipped_too_large += 1;
                     continue;
                 }
-                let sw = sweep.get_or_insert_with(|| IncrementalSweep::new(sys, &caps, config));
+                if sweep.is_none() {
+                    sweep = IncrementalSweep::new(sys, &caps, config, guard);
+                    if sweep.is_none() {
+                        outcome = FmfOutcome::Interrupted;
+                        break 'inc;
+                    }
+                }
+                let sw = sweep.as_mut().expect("the sweep was built above");
                 match sw.try_vector(sys, &flat, &sizes, est, config, &pool, guard, &mut stats) {
                     SizeOutcome::Model(m) => {
                         outcome = FmfOutcome::Model(m);
@@ -495,7 +505,14 @@ struct IncrementalSweep {
 }
 
 impl IncrementalSweep {
-    fn new(sys: &ChcSystem, caps: &[usize], config: &FinderConfig) -> IncrementalSweep {
+    /// Encodes the tables at `caps`, polling `guard` once per function
+    /// cell; `None` if it trips.
+    fn new(
+        sys: &ChcSystem,
+        caps: &[usize],
+        config: &FinderConfig,
+        guard: &Guard,
+    ) -> Option<IncrementalSweep> {
         let sig = &sys.sig;
         let mut solver = Solver::new();
         // Existence selectors with a monotone chain: element k implies
@@ -537,6 +554,9 @@ impl IncrementalSweep {
         for f in sig.funcs() {
             let range_sort = sig.func(f).range.index();
             for cell in &func_vars[f.index()] {
+                if guard.is_cancelled() {
+                    return None;
+                }
                 let at_least: Vec<Lit> = cell.iter().map(|&v| Lit::pos(v)).collect();
                 solver.add_clause(&at_least);
                 for i in 0..cell.len() {
@@ -570,7 +590,7 @@ impl IncrementalSweep {
                 }
             }
         }
-        IncrementalSweep {
+        Some(IncrementalSweep {
             solver,
             caps: caps.to_vec(),
             ex,
@@ -579,7 +599,7 @@ impl IncrementalSweep {
             covered: Vec::new(),
             used: false,
             broken: false,
-        }
+        })
     }
 
     /// The selector assumptions describing `sizes`: element `k` of sort
@@ -661,18 +681,19 @@ impl IncrementalSweep {
             let batch = (pool.threads() * 4).max(1);
             let (caps, covered) = (&self.caps, &self.covered);
             let (func_vars, pred_vars, ex) = (&self.func_vars, &self.pred_vars, &self.ex);
+            let mut poller = Poller::new(guard);
             'waves: for wave in flat.chunks(batch) {
                 if guard.is_cancelled() {
                     span.note_str("outcome", "interrupted");
                     return SizeOutcome::Interrupted;
                 }
-                let grounded: Vec<GroundInstances> = pool
+                let grounded: Option<Vec<GroundInstances>> = pool
                     .map_chunks(wave, |_, chunk| {
                         chunk
                             .iter()
                             .map(|c| {
                                 ground_clause_delta(
-                                    sys, c, sizes, caps, covered, func_vars, pred_vars, ex,
+                                    sys, c, sizes, caps, covered, func_vars, pred_vars, ex, guard,
                                 )
                             })
                             .collect::<Vec<_>>()
@@ -680,8 +701,16 @@ impl IncrementalSweep {
                     .into_iter()
                     .flatten()
                     .collect();
+                let Some(grounded) = grounded else {
+                    span.note_str("outcome", "interrupted");
+                    return SizeOutcome::Interrupted;
+                };
                 for g in &grounded {
                     for lits in g.iter() {
+                        if poller.poll() {
+                            span.note_str("outcome", "interrupted");
+                            return SizeOutcome::Interrupted;
+                        }
                         delta += 1;
                         if !self.solver.add_clause(lits) {
                             self.broken = true;
@@ -978,7 +1007,8 @@ fn ground_clause(
 /// tables indexed at `caps` dimensions, and guards every instance with
 /// the negated existence selectors of the elements it mentions — so the
 /// instance is vacuous whenever a later, smaller vector deselects one of
-/// them.
+/// them. The odometer polls `guard` through a [`Poller`]; `None` if it
+/// trips.
 #[allow(clippy::too_many_arguments)]
 fn ground_clause_delta(
     sys: &ChcSystem,
@@ -989,7 +1019,8 @@ fn ground_clause_delta(
     func_vars: &[Vec<Vec<Var>>],
     pred_vars: &[Vec<Var>],
     ex: &[Vec<Var>],
-) -> GroundInstances {
+    guard: &Guard,
+) -> Option<GroundInstances> {
     let sig = &sys.sig;
     let mut out = GroundInstances {
         lits: Vec::new(),
@@ -997,10 +1028,14 @@ fn ground_clause_delta(
     };
     let dims: Vec<usize> = c.var_sorts.iter().map(|s| sizes[s.index()]).collect();
     if dims.contains(&0) {
-        return out;
+        return Some(out);
     }
     let mut assign = vec![0usize; dims.len()];
+    let mut poller = Poller::new(guard);
     'assignments: loop {
+        if poller.poll() {
+            return None;
+        }
         let already = covered.iter().any(|b| {
             assign
                 .iter()
@@ -1051,7 +1086,7 @@ fn ground_clause_delta(
             break;
         }
     }
-    out
+    Some(out)
 }
 
 fn row_index(

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use ringen_automata::{AutStore, Dfta, StateId};
-use ringen_parallel::{ParallelConfig, Pool};
+use ringen_parallel::{Guard, ParallelConfig, Pool};
 use ringen_terms::{herbrand, FuncId, Signature, SortId, TermPool};
 
 use crate::lang::Lang;
@@ -47,7 +47,7 @@ impl Default for LangPoolConfig {
 /// height. Languages accepting none or all of the fingerprint terms
 /// are dropped (they constrain nothing a template could not).
 pub fn enumerate_langs(sig: &Signature, sort: SortId, cfg: &LangPoolConfig) -> Vec<Lang> {
-    enumerate_impl(sig, sort, cfg, None)
+    enumerate_impl(sig, sort, cfg, None, &Guard::new()).expect("an unarmed guard never trips")
 }
 
 /// [`enumerate_langs`] with every kept language built through an
@@ -56,13 +56,17 @@ pub fn enumerate_langs(sig: &Signature, sort: SortId, cfg: &LangPoolConfig) -> V
 /// reachability fixpoint) and every language carries a structural
 /// identity, so the cube procedure's joint products over the pool hit
 /// the store's memo tables.
+///
+/// The guard is polled before every transition table; `None` if it
+/// trips.
 pub fn enumerate_langs_in(
     sig: &Signature,
     sort: SortId,
     cfg: &LangPoolConfig,
     store: &mut AutStore,
-) -> Vec<Lang> {
-    enumerate_impl(sig, sort, cfg, Some(store))
+    guard: &Guard,
+) -> Option<Vec<Lang>> {
+    enumerate_impl(sig, sort, cfg, Some(store), guard)
 }
 
 fn enumerate_impl(
@@ -70,7 +74,8 @@ fn enumerate_impl(
     sort: SortId,
     cfg: &LangPoolConfig,
     mut store: Option<&mut AutStore>,
-) -> Vec<Lang> {
+    guard: &Guard,
+) -> Option<Vec<Lang>> {
     let k = cfg.states_per_sort.max(1);
     // One block of k states per sort; cells are (constructor, argument
     // state combination) pairs, each choosing one of k targets.
@@ -116,6 +121,9 @@ fn enumerate_impl(
     let mut assignment = vec![0usize; cells.len()];
     let mut dftas = 0usize;
     'sweep: loop {
+        if guard.is_cancelled() {
+            return None;
+        }
         dftas += 1;
         if dftas > cfg.max_dftas {
             break;
@@ -182,7 +190,7 @@ fn enumerate_impl(
             i += 1;
         }
     }
-    out
+    Some(out)
 }
 
 #[cfg(test)]

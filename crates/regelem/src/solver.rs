@@ -20,14 +20,17 @@
 //!    inductive invariants live outside `Reg ∪ Elem ∪ SizeElem`.
 //!
 //! Unsafe systems are refuted up front by the shared bottom-up
-//! saturation engine, and every budget is a deterministic step count.
+//! saturation engine (once: the inner regular and elementary phases
+//! run with zero-round refuters by default), and every budget is a
+//! deterministic step count.
 
 use std::collections::BTreeMap;
 
 use ringen_automata::AutStore;
 use ringen_chc::{ChcSystem, PredId};
-use ringen_core::saturation::{saturate_guarded, Refutation, SaturationConfig, SaturationOutcome};
-use ringen_core::{solve_guarded as solve_regular, Answer, Guard, Poller, RingenConfig};
+use ringen_core::portfolio::{refute, EngineVerdict};
+use ringen_core::saturation::{Refutation, SaturationConfig};
+use ringen_core::{solve_guarded as solve_regular, Answer, Guard, RingenConfig};
 use ringen_elem::search::for_each_composition;
 use ringen_elem::{candidates, solve_elem_guarded, ElemAnswer, ElemConfig, TemplateConfig};
 use ringen_terms::{Term, VarId};
@@ -53,9 +56,11 @@ pub enum Provenance {
 pub struct RegElemConfig {
     /// Refuter budgets (shared with the other solvers).
     pub saturation: SaturationConfig,
-    /// Run the regular phase, with these budgets.
+    /// Run the regular phase, with these budgets. Its refuter defaults
+    /// to zero rounds: phase 0 already refuted with larger budgets.
     pub regular: Option<RingenConfig>,
-    /// Run the elementary phase, with these budgets.
+    /// Run the elementary phase, with these budgets. Its refuter
+    /// defaults to zero rounds, like the regular phase's.
     pub elementary: Option<ElemConfig>,
     /// Elementary template pool of the combined phase.
     pub templates: TemplateConfig,
@@ -76,8 +81,14 @@ impl Default for RegElemConfig {
     fn default() -> Self {
         RegElemConfig {
             saturation: SaturationConfig::default(),
-            regular: Some(RingenConfig::quick()),
-            elementary: Some(ElemConfig::quick()),
+            regular: Some(RingenConfig {
+                saturation: SaturationConfig::zero_rounds(),
+                ..RingenConfig::quick()
+            }),
+            elementary: Some(ElemConfig {
+                saturation: SaturationConfig::zero_rounds(),
+                ..ElemConfig::quick()
+            }),
             templates: TemplateConfig::default(),
             langs: LangPoolConfig::default(),
             combine_prefix: 24,
@@ -164,10 +175,11 @@ pub struct RegElemStats {
 /// [`RegElemStats::store`] counters show the traffic).
 ///
 /// The guard is threaded into every phase — the refuter, the regular
-/// pipeline, the elementary sweep, and the combined-candidate sweep. A
-/// trip yields [`RegElemAnswer::Interrupted`] with partial statistics;
-/// the automaton store never caches a partial fixpoint, so the work
-/// done so far stays sound.
+/// pipeline, the elementary sweep, and the combined phase's language
+/// enumeration and candidate sweep. A trip yields
+/// [`RegElemAnswer::Interrupted`] with partial statistics; the
+/// automaton store never caches a partial fixpoint, so the work done
+/// so far stays sound.
 ///
 /// # Panics
 ///
@@ -195,23 +207,11 @@ fn solve_regelem_with(
     let mut stats = RegElemStats::default();
     let rec = guard.recorder().clone();
 
-    // Phase 0: refute.
-    {
-        let mut span = rec.span("regelem.refute");
-        let (outcome, _) = saturate_guarded(sys, &cfg.saturation, guard);
-        match outcome {
-            SaturationOutcome::Refuted(r) => {
-                span.note_str("outcome", "refuted");
-                return (RegElemAnswer::Unsat(r), stats);
-            }
-            SaturationOutcome::Interrupted(_) => {
-                span.note_str("outcome", "interrupted");
-                return (RegElemAnswer::Interrupted, stats);
-            }
-            SaturationOutcome::Saturated(_) | SaturationOutcome::Budget(_) => {
-                span.note_str("outcome", "no_refutation");
-            }
-        }
+    // Phase 0: refute (its `saturate` span notes the outcome).
+    match refute(sys, &cfg.saturation, guard) {
+        (_, Some(r), _) => return (RegElemAnswer::Unsat(r), stats),
+        (EngineVerdict::Interrupted, ..) => return (RegElemAnswer::Interrupted, stats),
+        _ => {}
     }
 
     // Phase 1: regular invariants by finite-model finding.
@@ -312,23 +312,20 @@ fn regelem_combined(
     if sys.clauses.iter().any(|c| !c.exist_vars.is_empty()) {
         return RegElemAnswer::Unknown;
     }
+    // A predicate-free system is a set of ground constraint clauses:
+    // the sweep's one (empty) assignment decides them exactly.
     let preds: Vec<PredId> = sys.rels.iter().collect();
-    if preds.is_empty() {
-        return RegElemAnswer::Sat(
-            Box::new(RegElemInvariant {
-                formulas: BTreeMap::new(),
-            }),
-            Provenance::Elementary,
-        );
-    }
-    let pools: Vec<Vec<RegElemFormula>> = preds
+    let pools: Option<Vec<Vec<RegElemFormula>>> = preds
         .iter()
         .map(|&p| {
-            let pool = candidate_pool(sys, p, cfg, stats, store);
+            let pool = candidate_pool(sys, p, cfg, stats, store, guard)?;
             stats.pool_total = stats.pool_total.saturating_add(pool.len() as u64);
-            pool
+            Some(pool)
         })
         .collect();
+    let Some(pools) = pools else {
+        return RegElemAnswer::Interrupted;
+    };
 
     enum Stop {
         Budget,
@@ -337,10 +334,10 @@ fn regelem_combined(
     let caps: Vec<usize> = pools.iter().map(|p| p.len() - 1).collect();
     let max_total: usize = caps.iter().sum();
     let mut idx = vec![0usize; preds.len()];
-    let mut poller = Poller::new(guard);
     for total in 0..=max_total {
         let stop = for_each_composition(&caps, total, &mut idx, 0, &mut |idx| {
-            if poller.poll() {
+            // One candidate check costs far more than a poll.
+            if guard.is_cancelled() {
                 return Some(Err(Stop::Interrupted));
             }
             stats.assignments += 1;
@@ -372,22 +369,24 @@ fn regelem_combined(
 
 /// Builds the combined-phase candidate pool for one predicate:
 /// elementary templates first (cheapest), then bare membership atoms,
-/// then template-plus-membership conjunctions.
+/// then template-plus-membership conjunctions. `None` if the guard
+/// tripped during the language enumeration.
 fn candidate_pool(
     sys: &ChcSystem,
     p: PredId,
     cfg: &RegElemConfig,
     stats: &mut RegElemStats,
     store: &mut AutStore,
-) -> Vec<RegElemFormula> {
+    guard: &Guard,
+) -> Option<Vec<RegElemFormula>> {
     let domain = &sys.rels.decl(p).domain;
     let elem_pool = candidates(&sys.sig, domain, &cfg.templates);
     let mut out: Vec<RegElemFormula> = elem_pool.iter().map(RegElemFormula::from_elem).collect();
 
     let lang_pools: Vec<_> = domain
         .iter()
-        .map(|&s| enumerate_langs_in(&sys.sig, s, &cfg.langs, store))
-        .collect();
+        .map(|&s| enumerate_langs_in(&sys.sig, s, &cfg.langs, store, guard))
+        .collect::<Option<_>>()?;
     stats.langs += lang_pools.iter().map(Vec::len).sum::<usize>();
 
     for (i, langs) in lang_pools.iter().enumerate() {
@@ -416,7 +415,7 @@ fn candidate_pool(
             }
         }
     }
-    out
+    Some(out)
 }
 
 #[cfg(test)]
@@ -531,6 +530,24 @@ mod tests {
         cfg.max_assignments = 1;
         let (answer, _) = solve_regelem_guarded(&sys, &cfg, &Guard::new());
         assert!(answer.is_unknown());
+    }
+
+    /// Example 3's `Z ≠ S(Z) → ⊥` has no predicate. Without a refuter in
+    /// front, the combined sweep's one empty assignment must decide it.
+    #[test]
+    fn predicate_free_systems_are_decided_not_assumed() {
+        let cfg = RegElemConfig {
+            saturation: SaturationConfig::zero_rounds(),
+            ..quick()
+        };
+        let nat = "(declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))";
+        let unsat = ringen_chc::parse_str(&format!("{nat} (assert (=> (distinct Z (S Z)) false))"))
+            .unwrap();
+        let (answer, _) = solve_regelem_guarded(&unsat, &cfg, &Guard::new());
+        assert!(answer.is_unknown(), "got {answer:?}");
+        let sat = ringen_chc::parse_str(&format!("{nat} (assert (=> (= Z (S Z)) false))")).unwrap();
+        let (answer, _) = solve_regelem_guarded(&sat, &cfg, &Guard::new());
+        assert!(answer.is_sat(), "got {answer:?}");
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //!
 //! [`SolveServer`] accepts batches of SMT-LIB CHC systems (the
 //! `ringen-chc` parser/printer wire format) and runs them concurrently
-//! on a persistent worker pool. The service layer wraps the portfolio
-//! racer with the robustness machinery a resident process needs:
+//! on a persistent worker pool. Each query is a race of five entrants
+//! ([`EngineKind::ALL`]): the bottom-up refuter, which replays every
+//! refutation before it claims UNSAT, and the four invariant engines,
+//! which start their own phases at once under a zero-round refuter.
+//! The service layer wraps the portfolio racer with the robustness
+//! machinery a resident process needs:
 //!
 //! * **Bounded admission.** At most [`ServerConfig::queue`] queries
 //!   hold an admission slot at once; the overflow is shed with a typed
@@ -14,7 +18,9 @@
 //!   stats — never a hang, never an abort.
 //! * **A retry ladder.** Transient outcomes — a panicking entrant, an
 //!   interrupted race — are retried with a narrower engine set and
-//!   fresh per-query state, under capped exponential backoff.
+//!   fresh per-query state, under capped exponential backoff. A
+//!   panicked engine sits out the later rungs; a panicked refuter is
+//!   retried, since no other entrant can claim UNSAT.
 //! * **Panic quarantine.** A panic that escapes the racer is caught at
 //!   the attempt boundary; the poisoned per-query state (recorder,
 //!   stores, partial stats) is discarded wholesale while the shared
@@ -52,9 +58,9 @@ use std::time::{Duration, Instant};
 use ringen_automata::AutStore;
 use ringen_chc::{parse_str, to_smtlib, ChcSystem};
 use ringen_core::portfolio::{
-    race, Engine, EngineVerdict, PortfolioStats, RaceConfig, RaceOutcome,
+    race, refute, refute_budget, Engine, EngineVerdict, PortfolioStats, RaceConfig, RaceOutcome,
 };
-use ringen_core::{solve_guarded, Answer, RingenConfig};
+use ringen_core::{solve_guarded, Answer, RingenConfig, SaturationConfig};
 use ringen_elem::{solve_elem_guarded, ElemAnswer, ElemConfig};
 use ringen_obs::json::Json;
 use ringen_obs::report::{Section, SolveReport};
@@ -82,9 +88,11 @@ pub const DEFAULT_TRACE_RING: usize = 4096;
 /// sweep (Prop. 11's non-regular diagonal) with nobody left to win.
 pub const DEFAULT_QUERY_DEADLINE: Duration = Duration::from_secs(10);
 
-/// The four portfolio entrants, in default racing order.
+/// The five portfolio entrants, in default racing order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
+    /// Bottom-up refutation ([`ringen_core::portfolio::refute`]).
+    Refute,
     /// Regular invariants by finite-model finding (the paper's tool).
     Fmf,
     /// Elementary templates.
@@ -97,7 +105,8 @@ pub enum EngineKind {
 
 impl EngineKind {
     /// Every entrant, in default order.
-    pub const ALL: [EngineKind; 4] = [
+    pub const ALL: [EngineKind; 5] = [
+        EngineKind::Refute,
         EngineKind::Fmf,
         EngineKind::Elem,
         EngineKind::SizeElem,
@@ -107,6 +116,7 @@ impl EngineKind {
     /// The racer's span/report name for this entrant.
     pub fn name(self) -> &'static str {
         match self {
+            EngineKind::Refute => "refute",
             EngineKind::Fmf => "fmf",
             EngineKind::Elem => "elem",
             EngineKind::SizeElem => "sizeelem",
@@ -281,11 +291,25 @@ impl Default for ServerConfig {
             race_parallel: ParallelConfig::with_threads(EngineKind::ALL.len()),
             // Default (finite) engine budgets, unlike the standalone
             // portfolio's racing budgets: a resident service prefers a
-            // terminating Unknown over an open-ended sweep.
-            fmf: RingenConfig::default(),
-            elem: ElemConfig::default(),
-            sizeelem: SizeElemConfig::default(),
-            regelem: RegElemConfig::default(),
+            // terminating Unknown over an open-ended sweep. The engines
+            // run zero-round refuters: the `refute` entrant, under
+            // `refute_budget()`, is the race's only refuter.
+            fmf: RingenConfig {
+                saturation: SaturationConfig::zero_rounds(),
+                ..RingenConfig::default()
+            },
+            elem: ElemConfig {
+                saturation: SaturationConfig::zero_rounds(),
+                ..ElemConfig::default()
+            },
+            sizeelem: SizeElemConfig {
+                saturation: SaturationConfig::zero_rounds(),
+                ..SizeElemConfig::default()
+            },
+            regelem: RegElemConfig {
+                saturation: SaturationConfig::zero_rounds(),
+                ..RegElemConfig::default()
+            },
             faults: FaultPlan::default(),
             trace_ring: DEFAULT_TRACE_RING,
         }
@@ -645,6 +669,11 @@ impl SolveServer {
                         .filter(|r| r.panic.is_some())
                         .map(|r| r.name)
                         .collect();
+                    // A panicked entrant sits out the next rung, except
+                    // the refuter: it is the race's only way to UNSAT,
+                    // so it is retried instead of dropped.
+                    let kept =
+                        |k: &EngineKind| *k == EngineKind::Refute || !panicked.contains(&k.name());
                     match outcome {
                         RaceOutcome::Decided { verdict: won, .. } => {
                             verdict = match won {
@@ -664,7 +693,7 @@ impl SolveServer {
                                 // every engine exhausted its budgets.
                                 break;
                             }
-                            engines.retain(|k| !panicked.contains(&k.name()));
+                            engines.retain(kept);
                             self.counters.retries.fetch_add(1, Ordering::SeqCst);
                             self.backoff(attempts);
                         }
@@ -680,13 +709,12 @@ impl SolveServer {
                                 verdict_str = "interrupted";
                                 break;
                             }
-                            // Narrow: drop panicked entrants; failing
-                            // that, shed the slowest-to-cancel tail so
-                            // the survivors get more room next rung.
-                            engines.retain(|k| !panicked.contains(&k.name()));
-                            if !panicked.is_empty() {
-                                // narrowed above
-                            } else if engines.len() > 1 {
+                            // Narrow: drop panicked entrants but the
+                            // refuter; failing that, shed the
+                            // slowest-to-cancel tail so the survivors
+                            // get more room next rung.
+                            engines.retain(kept);
+                            if panicked.is_empty() && engines.len() > 1 {
                                 engines.pop();
                             }
                             self.counters.retries.fetch_add(1, Ordering::SeqCst);
@@ -768,6 +796,9 @@ impl SolveServer {
         kinds
             .iter()
             .map(|kind| match kind {
+                EngineKind::Refute => Engine::new("refute", move |g: &Guard| {
+                    (refute(sys, &refute_budget(), g).0, ())
+                }),
                 EngineKind::Fmf => {
                     let cfg = &self.cfg.fmf;
                     Engine::new("fmf", move |g: &Guard| {
@@ -916,6 +947,47 @@ mod tests {
         assert_eq!(health.queued, 0, "admission slots drain");
         assert_eq!(health.in_flight, 0);
         assert!(health.cache_entries >= 1);
+    }
+
+    /// `p` holds of `Z` and is closed under `S`, but must not hold of
+    /// `S(S(Z))`: refuted in two steps.
+    const TWO_STEP_UNSAT: &str = "(declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))\
+        (declare-fun p (Nat) Bool)\
+        (assert (p Z))\
+        (assert (forall ((x Nat)) (=> (p x) (p (S x)))))\
+        (assert (=> (p (S (S Z))) false))";
+
+    #[test]
+    fn unsat_queries_are_won_by_the_refute_entrant() {
+        let server = SolveServer::new(quick_config());
+        match server.submit(&Query::new("unsat", TWO_STEP_UNSAT)) {
+            QueryOutcome::Solved(r) => {
+                assert_eq!(r.verdict, QueryVerdict::Unsat);
+                let stats = r.stats.expect("the race ran");
+                assert_eq!(stats.winner_report().map(|w| w.name), Some("refute"));
+            }
+            other => panic!("expected Solved, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_panicked_refuter_is_retried_not_dropped() {
+        // The only `saturate` span is the refuter's (the engines run
+        // zero rounds), so its first one panics inside the entrant. The
+        // engines cannot claim UNSAT; the next rung's refuter does.
+        let cfg = ServerConfig {
+            faults: FaultPlan::parse("panic@saturate#1").expect("plan parses"),
+            ..quick_config()
+        };
+        let server = SolveServer::new(cfg);
+        match server.submit(&Query::new("unsat", TWO_STEP_UNSAT)) {
+            QueryOutcome::Solved(r) => {
+                assert_eq!(r.verdict, QueryVerdict::Unsat);
+                assert_eq!(r.attempts, 2, "the refuter came back on the retry");
+            }
+            other => panic!("expected Solved, got {other:?}"),
+        }
+        assert_eq!(server.health().faults.panics, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 
 use ringen_benchgen::programs;
-use ringen_chc::{to_smtlib, ChcSystem};
+use ringen_chc::{parse_str, to_smtlib, ChcSystem};
 use ringen_parallel::{FaultPlan, ParallelConfig};
 use ringen_server::{Query, QueryOutcome, QueryVerdict, ServerConfig, SolveServer};
 use std::time::Duration;
@@ -45,8 +45,23 @@ impl Rng {
 /// default budgets, and `even_left` runs seconds per engine, which on
 /// a small box under race contention can cross any sane deadline;
 /// those live in the deadline smoke instead.)
+///
+/// The UNSAT member is only ever decided by the `refute` entrant, so a
+/// fault on the refuter (`refute`, `saturate`) must never turn it SAT.
 fn program_pool() -> Vec<(&'static str, ChcSystem)> {
-    vec![("even", programs::even()), ("inc_dec", programs::inc_dec())]
+    let two_step_unsat = parse_str(
+        "(declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
+         (declare-fun p (Nat) Bool)
+         (assert (p Z))
+         (assert (forall ((x Nat)) (=> (p x) (p (S x)))))
+         (assert (=> (p (S (S Z))) false))",
+    )
+    .expect("the pool's UNSAT system parses");
+    vec![
+        ("even", programs::even()),
+        ("inc_dec", programs::inc_dec()),
+        ("two_step_unsat", two_step_unsat),
+    ]
 }
 
 fn quick_config() -> ServerConfig {
@@ -64,7 +79,9 @@ fn random_plan(rng: &mut Rng) -> FaultPlan {
     // Entrant spans ("fmf", "elem", ...) unwind the attempt; the
     // engine-internal spans exercise per-engine isolation; `*` and
     // random mode spray everywhere.
-    const TARGETS: &[&str] = &["fmf", "elem", "sizeelem", "regelem", "finder", "saturation"];
+    const TARGETS: &[&str] = &[
+        "refute", "fmf", "elem", "sizeelem", "regelem", "finder", "saturate",
+    ];
     const KINDS: &[&str] = &["panic", "cancel", "delay"];
     let mut specs: Vec<String> = Vec::new();
     for _ in 0..rng.below(3) {

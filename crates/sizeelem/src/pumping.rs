@@ -20,27 +20,13 @@ pub fn term_of_size(sig: &Signature, sort: SortId, size: u64) -> Option<GroundTe
     if size == 0 || size > 4_096 {
         return None;
     }
-    let sets: Vec<(SortId, SizeSet)> = sig
-        .sorts()
-        .filter(|&s| sig.sort_is_inhabited(s))
-        .map(|s| (s, SizeSet::of_sort(sig, s)))
-        .collect();
+    let sets = SizeSet::of_all_sorts(sig, || false).expect("never cancelled");
     build(sig, &sets, sort, size)
 }
 
-fn build(
-    sig: &Signature,
-    sets: &[(SortId, SizeSet)],
-    sort: SortId,
-    size: u64,
-) -> Option<GroundTerm> {
-    let realizable = |s: SortId, k: u64| {
-        k >= 1
-            && sets
-                .iter()
-                .find(|(q, _)| *q == s)
-                .is_some_and(|(_, set)| set.contains(k))
-    };
+/// `sets` holds every sort's size set, indexed by sort.
+fn build(sig: &Signature, sets: &[SizeSet], sort: SortId, size: u64) -> Option<GroundTerm> {
+    let realizable = |s: SortId, k: u64| k >= 1 && sets[s.index()].contains(k);
     if !realizable(sort, size) {
         return None;
     }
@@ -64,7 +50,7 @@ fn build(
 
 fn distribute(
     sig: &Signature,
-    sets: &[(SortId, SizeSet)],
+    sets: &[SizeSet],
     domain: &[SortId],
     budget: u64,
     args: &mut Vec<GroundTerm>,

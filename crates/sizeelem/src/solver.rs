@@ -17,8 +17,9 @@
 use std::collections::BTreeMap;
 
 use ringen_chc::{ChcSystem, Clause, Constraint, PredId};
-use ringen_core::saturation::{saturate_guarded, Refutation, SaturationConfig, SaturationOutcome};
-use ringen_core::{Guard, Poller};
+use ringen_core::portfolio::{refute, EngineVerdict};
+use ringen_core::saturation::{Refutation, SaturationConfig};
+use ringen_core::Guard;
 use ringen_elem::search::for_each_composition;
 use ringen_elem::{check_cube as check_elem_cube, CubeSat, Literal, TemplateConfig};
 use ringen_terms::{GroundTerm, Signature, SizeSet, SortId, Term, VarContext, VarId};
@@ -157,9 +158,10 @@ pub struct SizeElemStats {
 }
 
 /// Runs the solver under cooperative cancellation: the guard is
-/// threaded into the refuter and polled once per candidate assignment
-/// of the template sweep. A trip yields [`SizeElemAnswer::Interrupted`]
-/// with the statistics accumulated so far.
+/// threaded into the refuter and the size-domain probe, and polled
+/// before every candidate assignment of the template sweep. A trip
+/// yields [`SizeElemAnswer::Interrupted`] with the statistics
+/// accumulated so far.
 ///
 /// # Panics
 ///
@@ -175,22 +177,11 @@ pub fn solve_size_elem_guarded(
     let mut stats = SizeElemStats::default();
     let rec = guard.recorder().clone();
 
-    {
-        let mut span = rec.span("sizeelem.refute");
-        let (outcome, _) = saturate_guarded(sys, &cfg.saturation, guard);
-        match outcome {
-            SaturationOutcome::Refuted(r) => {
-                span.note_str("outcome", "refuted");
-                return (SizeElemAnswer::Unsat(r), stats);
-            }
-            SaturationOutcome::Interrupted(_) => {
-                span.note_str("outcome", "interrupted");
-                return (SizeElemAnswer::Interrupted, stats);
-            }
-            SaturationOutcome::Saturated(_) | SaturationOutcome::Budget(_) => {
-                span.note_str("outcome", "no_refutation");
-            }
-        }
+    // Refute first (its `saturate` span notes the outcome).
+    match refute(sys, &cfg.saturation, guard) {
+        (_, Some(r), _) => return (SizeElemAnswer::Unsat(r), stats),
+        (EngineVerdict::Interrupted, ..) => return (SizeElemAnswer::Interrupted, stats),
+        _ => {}
     }
 
     let answer = {
@@ -225,17 +216,16 @@ fn size_elem_sweep(
     if sys.clauses.iter().any(|c| !c.exist_vars.is_empty()) {
         return SizeElemAnswer::Unknown;
     }
+    // A predicate-free system is a set of ground constraint clauses:
+    // the sweep's one (empty) assignment decides them exactly.
     let preds: Vec<PredId> = sys.rels.iter().collect();
-    if preds.is_empty() {
-        return SizeElemAnswer::Sat(SizeElemInvariant {
-            formulas: BTreeMap::new(),
-        });
-    }
     let pools: Vec<Vec<SizeElemFormula>> = preds
         .iter()
         .map(|&p| candidates(&sys.sig, &sys.rels.decl(p).domain, cfg))
         .collect();
-    let domains = DomainCache::new(&sys.sig);
+    let Some(domains) = DomainCache::new(&sys.sig, guard) else {
+        return SizeElemAnswer::Interrupted;
+    };
 
     enum Stop {
         Budget,
@@ -244,10 +234,10 @@ fn size_elem_sweep(
     let caps: Vec<usize> = pools.iter().map(|p| p.len() - 1).collect();
     let max_total: usize = caps.iter().sum();
     let mut idx = vec![0usize; preds.len()];
-    let mut poller = Poller::new(guard);
     for total in 0..=max_total {
         let stop = for_each_composition(&caps, total, &mut idx, 0, &mut |idx| {
-            if poller.poll() {
+            // One candidate check costs far more than a poll.
+            if guard.is_cancelled() {
                 return Some(Err(Stop::Interrupted));
             }
             stats.assignments += 1;
@@ -281,13 +271,16 @@ struct DomainCache {
 }
 
 impl DomainCache {
-    fn new(sig: &Signature) -> Self {
+    /// One size-counting pass for all sorts, polling `guard` once per
+    /// term size; `None` if it trips.
+    fn new(sig: &Signature, guard: &Guard) -> Option<Self> {
+        let sets = SizeSet::of_all_sorts(sig, || guard.is_cancelled())?;
         let per_sort = sig
             .sorts()
             .filter(|&s| sig.sort_is_inhabited(s))
-            .map(|s| (s, PeriodicSet::from_size_set(&SizeSet::of_sort(sig, s))))
+            .map(|s| (s, PeriodicSet::from_size_set(&sets[s.index()])))
             .collect();
-        DomainCache { per_sort }
+        Some(DomainCache { per_sort })
     }
 }
 
@@ -760,6 +753,23 @@ mod tests {
         .unwrap();
         let (answer, _) = solve_size_elem_guarded(&sys, &quick(), &Guard::new());
         assert!(answer.is_unsat());
+    }
+
+    /// Example 3's `Z ≠ S(Z) → ⊥` has no predicate. Without a refuter in
+    /// front, the sweep's one empty assignment must decide it.
+    #[test]
+    fn predicate_free_systems_are_decided_not_assumed() {
+        let cfg = SizeElemConfig {
+            saturation: SaturationConfig::zero_rounds(),
+            ..quick()
+        };
+        let nat = "(declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))";
+        let unsat = parse_str(&format!("{nat} (assert (=> (distinct Z (S Z)) false))")).unwrap();
+        let (answer, _) = solve_size_elem_guarded(&unsat, &cfg, &Guard::new());
+        assert!(answer.is_unknown(), "got {answer:?}");
+        let sat = parse_str(&format!("{nat} (assert (=> (= Z (S Z)) false))")).unwrap();
+        let (answer, _) = solve_size_elem_guarded(&sat, &cfg, &Guard::new());
+        assert!(answer.is_sat(), "got {answer:?}");
     }
 
     #[test]

@@ -159,10 +159,26 @@ fn combine_with_max_height(
 /// `N_σ(k) = Σ_c Σ_{k₁+…+kₙ = k-1} Π N_{σᵢ}(kᵢ)` and never materializes
 /// terms, so large `max_size` is cheap.
 pub fn count_terms_by_size(sig: &Signature, sort: SortId, max_size: usize, cap: u64) -> Vec<u64> {
+    let mut counts = count_all_sorts(sig, max_size, cap, || false).expect("never cancelled");
+    counts.swap_remove(sort.index())
+}
+
+/// [`count_terms_by_size`] for every sort at once (the recurrence
+/// fills them all anyway), indexed by sort. `cancelled` is consulted
+/// once per size; `None` if it returned `true`.
+fn count_all_sorts(
+    sig: &Signature,
+    max_size: usize,
+    cap: u64,
+    mut cancelled: impl FnMut() -> bool,
+) -> Option<Vec<Vec<u64>>> {
     let n = sig.sort_count();
     // counts[s][k] = number of terms of sort s and size k (saturated).
     let mut counts: Vec<Vec<u64>> = vec![vec![0; max_size + 1]; n];
     for k in 1..=max_size {
+        if cancelled() {
+            return None;
+        }
         for c in sig.constructors() {
             let d = sig.func(c);
             let total = convolve(&counts, &d.domain, k - 1, cap);
@@ -170,7 +186,7 @@ pub fn count_terms_by_size(sig: &Signature, sort: SortId, max_size: usize, cap: 
             *slot = slot.saturating_add(total).min(cap);
         }
     }
-    counts[sort.index()].clone()
+    Some(counts)
 }
 
 /// Number of argument tuples for sorts `domain` with total size `budget`.
@@ -194,6 +210,10 @@ fn convolve(counts: &[Vec<u64>], domain: &[SortId], budget: usize, cap: u64) -> 
         }
     }
 }
+
+/// The analysis bound of [`SizeSet::of_sort`]: term sizes are counted
+/// up to it, and the periodic tail is detected in its second half.
+const SIZE_SET_BOUND: usize = 512;
 
 /// The set of term sizes `S_σ = { size(t) | t ∈ |ℋ|_σ }` (§6.3),
 /// represented as an explicit prefix plus an eventually-periodic tail.
@@ -224,11 +244,26 @@ impl SizeSet {
     /// cannot happen for ADT size sets with constructor arities bounded by
     /// the bound (the period divides a constructor-size gcd).
     pub fn of_sort(sig: &Signature, sort: SortId) -> SizeSet {
-        const BOUND: usize = 512;
-        let counts = count_terms_by_size(sig, sort, BOUND, 2);
+        SizeSet::from_counts(&count_terms_by_size(sig, sort, SIZE_SET_BOUND, 2))
+    }
+
+    /// [`SizeSet::of_sort`] for every sort, indexed by sort, from one
+    /// counting pass. `cancelled` is consulted once per term size of
+    /// that pass; `None` if it returned `true`.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`SizeSet::of_sort`].
+    pub fn of_all_sorts(sig: &Signature, cancelled: impl FnMut() -> bool) -> Option<Vec<SizeSet>> {
+        let counts = count_all_sorts(sig, SIZE_SET_BOUND, 2, cancelled)?;
+        Some(counts.iter().map(|c| SizeSet::from_counts(c)).collect())
+    }
+
+    /// Lasso detection on one sort's term counts up to [`SIZE_SET_BOUND`].
+    fn from_counts(counts: &[u64]) -> SizeSet {
         let present: Vec<bool> = counts.iter().map(|&c| c > 0).collect();
         // Finite set: nothing present in the second half.
-        if present[BOUND / 2..].iter().all(|&b| !b) {
+        if present[SIZE_SET_BOUND / 2..].iter().all(|&b| !b) {
             let prefix: BTreeSet<u64> = present
                 .iter()
                 .enumerate()
@@ -236,16 +271,16 @@ impl SizeSet {
                 .collect();
             return SizeSet {
                 prefix,
-                tail_start: BOUND as u64,
+                tail_start: SIZE_SET_BOUND as u64,
                 period: 0,
                 residues: BTreeSet::new(),
             };
         }
         // Find the smallest period p and start T with
-        // present[k] == present[k+p] for all k in [T, BOUND-p].
-        for p in 1..=(BOUND / 4) {
-            let start = BOUND / 2;
-            if (start..=BOUND - p).all(|k| present[k] == present[k + p]) {
+        // present[k] == present[k+p] for all k in [T, SIZE_SET_BOUND-p].
+        for p in 1..=(SIZE_SET_BOUND / 4) {
+            let start = SIZE_SET_BOUND / 2;
+            if (start..=SIZE_SET_BOUND - p).all(|k| present[k] == present[k + p]) {
                 let prefix = present[..start]
                     .iter()
                     .enumerate()
@@ -263,7 +298,7 @@ impl SizeSet {
                 };
             }
         }
-        panic!("no period detected for size set within bound {BOUND}");
+        panic!("no period detected for size set within bound {SIZE_SET_BOUND}");
     }
 
     /// Whether size `k` is realized by some ground term.

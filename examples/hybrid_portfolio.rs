@@ -3,12 +3,13 @@
 //! > "a hybrid approach to infer invariants in parts by automata and
 //! > in parts by FOL should exhibit the best performance."
 //!
-//! Four engines — regular invariants by finite-model finding, the
-//! elementary and size-elementary template solvers, and the combined
-//! template-plus-membership search — race concurrently on each
-//! program; the first definitive SAT/UNSAT cancels the rest. Losers
-//! are reported per engine (won / lost / cancelled / timed-out /
-//! panicked / unknown).
+//! Five entrants race concurrently on each program: the bottom-up
+//! refuter, regular invariants by finite-model finding, the elementary
+//! and size-elementary template solvers, and the combined
+//! template-plus-membership search. The first definitive SAT/UNSAT
+//! cancels the rest; the refuter can only win with UNSAT, so on these
+//! safe programs it is one of the losers. Losers are reported per
+//! entrant (won / lost / cancelled / timed-out / panicked / unknown).
 //!
 //! ```text
 //! cargo run --release --example hybrid_portfolio

@@ -83,12 +83,12 @@ echo "== serve batch under injected faults + deadline =="
 # occurrence runs clean. cancel@regelem: every opening of the `regelem`
 # entrant trips the attempt guard, so the ladder retries without
 # regelem — fatal only to EvenLeftDiag, which no other engine solves.
-# delay@saturation adds latency at every saturation round without
+# delay@sat.round adds latency at every saturation round without
 # changing any verdict.
 out_file="$tmp/serve.out"
 rc=0
 timeout "$OUTER" env \
-  RINGEN_FAULTS="panic@fmf#1, cancel@regelem, delay@saturation:1" \
+  RINGEN_FAULTS="panic@fmf#1, cancel@regelem, delay@sat.round:1" \
   RINGEN_DEADLINE_MS="$DEADLINE_MS" \
   RINGEN_SERVER_RETRIES=2 \
   RINGEN_SERVER_BACKOFF_MS=1 \

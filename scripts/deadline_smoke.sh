@@ -66,9 +66,10 @@ out="$(run "cli-default-t1" env RINGEN_DEADLINE_MS=$DEADLINE_MS RINGEN_THREADS=1
 [ "$out" = "unknown" ] || fail "cli-default-t1: expected 'unknown', got '$out'"
 
 echo "== portfolio race, sequential (RINGEN_THREADS=1) =="
-# At one worker the race degenerates to the sequential chain: fmf's
-# divergent sweep runs first and eats the whole deadline, so the field
-# times out and the verdict is deterministically 'unknown'.
+# At one worker the race degenerates to the sequential chain: the
+# refuter (which cannot refute a safe system) and then fmf's divergent
+# sweep run first and eat the whole deadline, so the field times out
+# and the verdict is deterministically 'unknown'.
 out="$(run "portfolio-t1" env RINGEN_DEADLINE_MS=$DEADLINE_MS RINGEN_THREADS=1 \
   ./target/release/ringen --quiet --solver portfolio "$tmp/diag.smt2")"
 [ "$out" = "unknown" ] || fail "portfolio-t1: expected 'unknown', got '$out'"

@@ -7,7 +7,7 @@
 #
 #   1. `--report-json` on the default solver — span tree, counters,
 #      histograms, automaton-store stats;
-#   2. `--report-json` on the portfolio — all four entrants must appear
+#   2. `--report-json` on the portfolio — all five entrants must appear
 #      as children of the `race` span, each with a verdict;
 #   3. `RINGEN_TRACE` (env, no flag) — same document, env-driven;
 #   4. `RINGEN_TRACE_FORMAT=chrome` — Chrome trace_event JSON for

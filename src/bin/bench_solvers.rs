@@ -1,11 +1,11 @@
 //! End-to-end portfolio-race latency recorder (`scripts/bench_solvers.sh`).
 //!
-//! Races the four representation-class engines on each showcase program
-//! several times and records, per program, the race verdict, the
-//! winning engine, and every entrant's per-run latencies (median over
-//! repetitions) plus its final status — the end-to-end numbers a user
-//! of the portfolio would feel, as opposed to the kernel ratios of
-//! `BENCH_automata.json`.
+//! Races the refuter and the four representation-class engines on each
+//! showcase program several times and records, per program, the race
+//! verdict, the winning engine, and every entrant's per-run latencies
+//! (median over repetitions) plus its final status — the end-to-end
+//! numbers a user of the portfolio would feel, as opposed to the kernel
+//! ratios of `BENCH_automata.json`.
 //!
 //! Every rep runs under an enabled [`Recorder`], and each entrant's
 //! per-phase time (direct child spans of the entrant span, summed by
@@ -85,14 +85,14 @@ fn main() {
         ("Diag", programs::diag()),
         ("EvenDiag", programs::even_diag()),
     ];
-    let engine_names = ["fmf", "elem", "sizeelem", "regelem"];
+    let engine_names = ["refute", "fmf", "elem", "sizeelem", "regelem"];
 
     let mut program_objs: Vec<(String, Json)> = Vec::new();
     for (name, sys) in &cases {
         // One worker per entrant, regardless of the measuring host:
         // these are race latencies, not hardware benchmarks.
         let cfg = PortfolioConfig {
-            parallel: ParallelConfig::with_threads(4),
+            parallel: ParallelConfig::with_threads(engine_names.len()),
             ..PortfolioConfig::default()
         };
         let mut race_ms: Vec<f64> = Vec::with_capacity(reps);

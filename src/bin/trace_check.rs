@@ -6,7 +6,7 @@
 //! promises: schema tag, a definitive verdict string, a non-empty span
 //! forest rooted at `solve`, a populated counter registry, and the
 //! histogram/dropped-span analytics keys. With `--portfolio` it
-//! additionally requires the `race` span to carry all four entrants as
+//! additionally requires the `race` span to carry all five entrants as
 //! children, each annotated with its verdict — the "race renders as a
 //! timeline" acceptance shape.
 //!
@@ -35,7 +35,7 @@ use std::process::ExitCode;
 use ringen::obs::json::{parse, Json};
 use ringen::report::SCHEMA;
 
-const ENTRANTS: [&str; 4] = ["fmf", "elem", "sizeelem", "regelem"];
+const ENTRANTS: [&str; 5] = ["refute", "fmf", "elem", "sizeelem", "regelem"];
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("trace_check: {msg}");

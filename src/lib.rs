@@ -27,9 +27,11 @@
 //!   sharded saturation rounds and automata batch evaluation
 //!   (`RINGEN_THREADS` selects the worker count; results are
 //!   bit-for-bit identical at any value);
-//! * [`portfolio`] — the four representation-class engines raced
-//!   concurrently with cooperative cancellation, wall-clock deadlines
-//!   (`RINGEN_DEADLINE_MS`), and per-engine panic isolation;
+//! * [`portfolio`] — five entrants raced concurrently: the bottom-up
+//!   refuter (every UNSAT it returns is replayed) and the four
+//!   representation-class engines, with cooperative cancellation,
+//!   wall-clock deadlines (`RINGEN_DEADLINE_MS`), and per-engine panic
+//!   isolation;
 //! * [`server`] — a long-lived concurrent solve service over the
 //!   racer: bounded admission with typed shedding, per-query
 //!   deadlines, a retry ladder with panic quarantine, a shared

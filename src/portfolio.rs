@@ -1,15 +1,20 @@
-//! The concrete portfolio race: FMF-backed regular invariants, `Elem`,
-//! `SizeElem`, and `RegElem` run concurrently on one system; the first
-//! definitive SAT/UNSAT cancels the rest.
+//! The concrete portfolio race: five entrants run concurrently on one
+//! system, and the first definitive SAT/UNSAT cancels the rest. They
+//! are the bottom-up refuter, FMF-backed regular invariants, `Elem`,
+//! `SizeElem`, and `RegElem`.
 //!
 //! This is §8's hybrid conjecture run as a *race* instead of the
-//! chained phases of `ringen_regelem::solve_regelem`: each
+//! chained phases of `ringen_regelem::solve_regelem_guarded`: each
 //! representation class gets its own engine with effectively unbounded
 //! sweep budgets, so a loser keeps searching until the winner's cancel
-//! (or the per-race deadline) trips its [`Guard`]. The generic harness
-//! lives in [`ringen_core::portfolio`]; this module only supplies the
-//! four entrants and maps their answer enums onto the racer's
-//! verdicts.
+//! (or the per-race deadline) trips its [`Guard`]. Figure 1's cheap
+//! refutation attempt is raced once, as the `refute` entrant
+//! ([`ringen_core::portfolio::refute`]), and the four engines start
+//! their own phases at once under a zero-round refuter
+//! ([`SaturationConfig::zero_rounds`]). Every UNSAT the race returns
+//! carries a replayed refutation. The generic harness lives in
+//! [`ringen_core::portfolio`]; this module only supplies the entrants
+//! and maps their answer enums onto the racer's verdicts.
 //!
 //! ```no_run
 //! use ringen::core::Guard;
@@ -17,7 +22,7 @@
 //!
 //! let sys = ringen::benchgen::programs::even_diag();
 //! let (answer, stats) = solve_portfolio_guarded(&sys, &PortfolioConfig::default(), &Guard::new());
-//! assert!(answer.is_sat()); // RegElem wins; the other three are cancelled
+//! assert!(answer.is_sat()); // the first certified invariant wins; the rest are cancelled
 //! for report in &stats.engines {
 //!     println!("{:<10} {:?} after {:?}", report.name, report.status, report.elapsed);
 //! }
@@ -27,8 +32,10 @@ use std::time::Duration;
 
 use ringen_automata::AutStore;
 use ringen_chc::ChcSystem;
-use ringen_core::portfolio::{race, Engine, EngineVerdict, RaceConfig, RaceOutcome};
-use ringen_core::{solve_guarded, Answer, Guard, RingenConfig};
+use ringen_core::portfolio::{
+    race, refute, refute_budget, Engine, EngineVerdict, RaceConfig, RaceOutcome,
+};
+use ringen_core::{solve_guarded, Answer, Guard, Refutation, RingenConfig, SaturationConfig};
 use ringen_elem::{solve_elem_guarded, ElemAnswer, ElemConfig};
 use ringen_parallel::ParallelConfig;
 use ringen_regelem::{solve_regelem_guarded, RegElemAnswer, RegElemConfig};
@@ -39,6 +46,8 @@ pub use ringen_core::portfolio::{EngineReport, EngineStatus, PortfolioStats};
 /// The winning entrant's full answer, tagged by engine.
 #[derive(Debug)]
 pub enum EngineAnswer {
+    /// The bottom-up refuter: the replayed refutation when it found one.
+    Refute(Option<Refutation>),
     /// The paper's tool: regular invariants by finite-model finding.
     Fmf(Answer),
     /// Elementary templates (the Spacer role).
@@ -86,7 +95,7 @@ impl PortfolioAnswer {
 }
 
 /// Number of entrants in the race.
-const ENGINES: usize = 4;
+const ENGINES: usize = 5;
 
 /// Budgets and knobs for [`solve_portfolio_guarded`].
 ///
@@ -101,6 +110,10 @@ const ENGINES: usize = 4;
 /// concurrency is structural, not hardware-bound, and a loser can only
 /// be *cancelled* while a sibling makes progress — unless
 /// `RINGEN_THREADS` is set, which pins it like everywhere else.
+///
+/// The four engine configurations default to a zero-round refuter: the
+/// `refute` entrant, under [`refute_budget`], is the race's only
+/// refuter, so the race refutes once instead of once per engine.
 #[derive(Debug, Clone)]
 pub struct PortfolioConfig {
     /// Wall-clock budget for the whole race; `None` races unbounded.
@@ -120,7 +133,10 @@ pub struct PortfolioConfig {
 
 impl Default for PortfolioConfig {
     fn default() -> Self {
-        let mut fmf = RingenConfig::default();
+        let mut fmf = RingenConfig {
+            saturation: SaturationConfig::zero_rounds(),
+            ..RingenConfig::default()
+        };
         // The model-size sweep grows exponentially; 64 total domain
         // elements is "until cancelled" in practice.
         fmf.finder.max_total_size = 64;
@@ -134,14 +150,17 @@ impl Default for PortfolioConfig {
             parallel,
             fmf,
             elem: ElemConfig {
+                saturation: SaturationConfig::zero_rounds(),
                 max_assignments: u64::MAX,
                 ..ElemConfig::default()
             },
             sizeelem: SizeElemConfig {
+                saturation: SaturationConfig::zero_rounds(),
                 max_assignments: u64::MAX,
                 ..SizeElemConfig::default()
             },
             regelem: RegElemConfig {
+                saturation: SaturationConfig::zero_rounds(),
                 max_assignments: u64::MAX,
                 ..RegElemConfig::default()
             },
@@ -196,14 +215,18 @@ fn regelem_verdict(a: &RegElemAnswer) -> EngineVerdict {
     }
 }
 
-/// Races the four engines on `sys` (see the module docs) under an
-/// outer [`Guard`]: cancelling it cancels every entrant.
+/// Races the refuter and the four engines on `sys` (see the module
+/// docs) under an outer [`Guard`]: cancelling it cancels every entrant.
 pub fn solve_portfolio_guarded(
     sys: &ChcSystem,
     cfg: &PortfolioConfig,
     guard: &Guard,
 ) -> (PortfolioAnswer, PortfolioStats) {
     let engines: Vec<Engine<'_, EngineAnswer>> = vec![
+        Engine::new("refute", |g: &Guard| {
+            let (verdict, refutation, _) = refute(sys, &refute_budget(), g);
+            (verdict, EngineAnswer::Refute(refutation))
+        }),
         Engine::new("fmf", |g: &Guard| {
             // Each entrant owns its store: a cancelled engine must not
             // leave a shared store mid-solve.

@@ -9,9 +9,11 @@ use std::time::{Duration, Instant};
 
 use ringen::automata::AutStore;
 use ringen::benchgen::programs;
-use ringen::core::{solve_guarded, Answer, Guard, RingenConfig};
+use ringen::core::{check_refutation, solve_guarded, Answer, Guard, RingenConfig};
 use ringen::parallel::ParallelConfig;
-use ringen::portfolio::{solve_portfolio_guarded, EngineStatus, PortfolioAnswer, PortfolioConfig};
+use ringen::portfolio::{
+    solve_portfolio_guarded, EngineAnswer, EngineStatus, PortfolioAnswer, PortfolioConfig,
+};
 use ringen::regelem::{solve_regelem_guarded, RegElemAnswer, RegElemConfig};
 
 /// Diag diverges under the regular-invariant engine (Prop. 11: the
@@ -133,5 +135,43 @@ fn portfolio_matches_sequential_regelem_and_cancels_losers() {
         );
         let winner = stats.winner_report().expect("decided race");
         assert_eq!(winner.status, EngineStatus::Won, "{name}");
+    }
+}
+
+/// The race refutes once: only the `refute` entrant can claim UNSAT
+/// (the four engines race with zero-round refuters), and the
+/// refutation it returns replays.
+#[test]
+fn unsat_races_are_won_by_the_replayed_refutation() {
+    let sys = ringen::chc::parse_str(
+        r#"
+        (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
+        (declare-fun p (Nat) Bool)
+        (assert (p Z))
+        (assert (forall ((x Nat)) (=> (p x) (p (S x)))))
+        (assert (=> (p (S (S Z))) false))
+        "#,
+    )
+    .unwrap();
+    for threads in [1usize, 5] {
+        let cfg = PortfolioConfig {
+            parallel: ParallelConfig::with_threads(threads),
+            ..PortfolioConfig::default()
+        };
+        let (answer, stats) = solve_portfolio_guarded(&sys, &cfg, &Guard::new());
+        match answer {
+            PortfolioAnswer::Unsat(EngineAnswer::Refute(Some(r))) => {
+                assert!(check_refutation(&sys, &r).is_ok(), "threads={threads}")
+            }
+            other => panic!("threads={threads}: expected the refuter's UNSAT, got {other:?}"),
+        }
+        assert_eq!(stats.winner_report().map(|w| w.name), Some("refute"));
+        for e in &stats.engines {
+            assert!(
+                e.name == "refute" || e.status != EngineStatus::Lost,
+                "threads={threads}: {} also claimed a verdict: {stats:?}",
+                e.name
+            );
+        }
     }
 }

@@ -14,9 +14,19 @@ use ringen::sizeelem::{solve_size_elem_guarded, SizeElemAnswer, SizeElemConfig};
 fn sample() -> Vec<ringen::benchgen::Benchmark> {
     let mut out = Vec::new();
     out.extend(positive_eq_suite().into_iter().take(8));
-    out.extend(diseq_suite().into_iter().take(7));
+    let diseq = diseq_suite();
+    out.extend(diseq.iter().take(7).cloned());
+    // Predicate-free and UNSAT: only a refuter or an exact check of the
+    // empty assignment may decide it.
+    out.push(
+        diseq
+            .iter()
+            .find(|b| b.name == "diseq/example3")
+            .unwrap()
+            .clone(),
+    );
     let tip = tip_suite();
-    // A slice from each designed region.
+    // A slice from each designed region, plus a deep refutation.
     for name in [
         "tip/reg-only-0",
         "tip/parity-0",
@@ -24,6 +34,7 @@ fn sample() -> Vec<ringen::benchgen::Benchmark> {
         "tip/diag-0",
         "tip/incdec-0",
         "tip/unsat-depth-2",
+        "tip/unsat-depth-20",
         "tip/hard-0",
     ] {
         out.push(tip.iter().find(|b| b.name == name).unwrap().clone());
@@ -31,37 +42,64 @@ fn sample() -> Vec<ringen::benchgen::Benchmark> {
     out
 }
 
-#[test]
-fn no_solver_contradicts_ground_truth() {
+/// Every engine's verdict on `sys` under its quick budgets, with its
+/// refuter budget replaced by `refuter` when given.
+fn verdicts(
+    sys: &ringen::chc::ChcSystem,
+    refuter: Option<&SaturationConfig>,
+) -> [(&'static str, bool, bool); 4] {
     use ringen::regelem::{solve_regelem_guarded, RegElemConfig};
+    let mut core_cfg = RingenConfig::quick();
+    let mut elem_cfg = ElemConfig::quick();
+    let mut size_cfg = SizeElemConfig::quick();
     // The combined phase alone: the regular and elementary phases are
-    // covered by their own solvers on the previous lines.
-    let regelem_cfg = RegElemConfig {
+    // the ringen and elem columns.
+    let mut regelem_cfg = RegElemConfig {
         regular: None,
         elementary: None,
         ..RegElemConfig::quick()
     };
+    if let Some(refuter) = refuter {
+        core_cfg.saturation = refuter.clone();
+        elem_cfg.saturation = refuter.clone();
+        size_cfg.saturation = refuter.clone();
+        regelem_cfg.saturation = refuter.clone();
+    }
+    let (core_ans, _) = solve_guarded(sys, &core_cfg, &mut AutStore::new(), &Guard::new());
+    let (elem_ans, _) = solve_elem_guarded(sys, &elem_cfg, &Guard::new());
+    let (size_ans, _) = solve_size_elem_guarded(sys, &size_cfg, &Guard::new());
+    let (regelem_ans, _) = solve_regelem_guarded(sys, &regelem_cfg, &Guard::new());
+    [
+        ("ringen", core_ans.is_sat(), core_ans.is_unsat()),
+        ("elem", elem_ans.is_sat(), elem_ans.is_unsat()),
+        ("sizeelem", size_ans.is_sat(), size_ans.is_unsat()),
+        ("regelem", regelem_ans.is_sat(), regelem_ans.is_unsat()),
+    ]
+}
+
+#[test]
+fn no_solver_contradicts_ground_truth() {
+    // Each engine runs with its own refuter in front and, on the UNSAT
+    // systems, with a zero-round one, as it races beside the refute
+    // entrant: an engine that assumes a refuter ran first fails the
+    // second column. (Without a refuter no engine can claim UNSAT, so
+    // the column cannot go wrong on a SAT system.)
+    let zero = SaturationConfig::zero_rounds();
     for b in sample() {
-        let (core_ans, _) = solve_guarded(
-            &b.system,
-            &RingenConfig::quick(),
-            &mut AutStore::new(),
-            &Guard::new(),
-        );
-        let (elem_ans, _) = solve_elem_guarded(&b.system, &ElemConfig::quick(), &Guard::new());
-        let (size_ans, _) =
-            solve_size_elem_guarded(&b.system, &SizeElemConfig::quick(), &Guard::new());
-        let (regelem_ans, _) = solve_regelem_guarded(&b.system, &regelem_cfg, &Guard::new());
-        let verdicts = [
-            ("ringen", core_ans.is_sat(), core_ans.is_unsat()),
-            ("elem", elem_ans.is_sat(), elem_ans.is_unsat()),
-            ("sizeelem", size_ans.is_sat(), size_ans.is_unsat()),
-            ("regelem", regelem_ans.is_sat(), regelem_ans.is_unsat()),
-        ];
-        for (who, sat, unsat) in verdicts {
-            match b.expected {
-                Expected::Sat => assert!(!unsat, "{who} refuted satisfiable {}", b.name),
-                Expected::Unsat => assert!(!sat, "{who} proved unsatisfiable {}", b.name),
+        let columns = match b.expected {
+            Expected::Sat => vec![("own refuter", None)],
+            Expected::Unsat => vec![("own refuter", None), ("zero-round refuter", Some(&zero))],
+        };
+        for (column, refuter) in columns {
+            for (who, sat, unsat) in verdicts(&b.system, refuter) {
+                match b.expected {
+                    Expected::Sat => {
+                        assert!(!unsat, "{who} ({column}) refuted satisfiable {}", b.name)
+                    }
+                    Expected::Unsat => {
+                        assert!(!sat, "{who} ({column}) proved unsatisfiable {}", b.name)
+                    }
+                }
             }
         }
     }

@@ -16,7 +16,7 @@ use ringen::obs::{ArgVal, SpanRec};
 use ringen::parallel::ParallelConfig;
 use ringen::portfolio::{solve_portfolio_guarded, PortfolioConfig};
 
-const ENTRANTS: [&str; 4] = ["fmf", "elem", "sizeelem", "regelem"];
+const ENTRANTS: [&str; 5] = ["refute", "fmf", "elem", "sizeelem", "regelem"];
 
 /// Every span closed (`end >= start`), ids unique, and every parent
 /// reference resolving to a recorded span whose interval contains the
