@@ -500,6 +500,56 @@ fn bench_fmf_incremental(c: &mut Criterion) {
     group.finish();
 }
 
+/// The cube check under every template engine (`ringen_elem::check_cube`),
+/// by term depth. `interned` decides one cube over `S^64` chains,
+/// `reference` eight cubes of the same shape over `S^8` chains: the
+/// same number of term nodes, so a closure linear in term size scores
+/// about 1. The all-pairs closure it replaced rescanned every node pair
+/// once per congruence level and scored 0.002. `bench_diff` gates the
+/// ratio at an absolute floor on the current run alone.
+fn bench_elem_cube(c: &mut Criterion) {
+    use ringen_elem::{check_cube, CubeSat, Literal};
+    use ringen_terms::{Term, VarContext};
+
+    let mut group = c.benchmark_group("elem_cube");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_millis(800));
+    group.warm_up_time(std::time::Duration::from_millis(150));
+
+    let (sig, nat, z, s) = nat_signature();
+    let mut vars = VarContext::new();
+    let (x, y) = (vars.fresh("x", nat), vars.fresh("y", nat));
+    // `y = S^d(x) ∧ Z?(x) ∧ y ≠ S^d(Z)` is unsat once congruence has
+    // carried the tester's `x = Z` up all d levels.
+    let cube = |d: usize| {
+        let chain = |base: Term| (0..d).fold(base, |t, _| Term::app(s, vec![t]));
+        vec![
+            Literal::Eq(Term::var(y), chain(Term::var(x))),
+            Literal::Tester {
+                ctor: z,
+                term: Term::var(x),
+                positive: true,
+            },
+            Literal::Neq(Term::var(y), chain(Term::leaf(z))),
+        ]
+    };
+    let (deep, shallow) = (cube(64), cube(8));
+    assert_eq!(check_cube(&sig, &vars, &deep), CubeSat::Unsat);
+    assert_eq!(check_cube(&sig, &vars, &shallow), CubeSat::Unsat);
+
+    group.bench_function(BenchmarkId::new("interned", "1xS64_vs_8xS8"), |b| {
+        b.iter(|| check_cube(&sig, &vars, std::hint::black_box(&deep)))
+    });
+    group.bench_function(BenchmarkId::new("reference", "1xS64_vs_8xS8"), |b| {
+        b.iter(|| {
+            (0..8)
+                .filter(|_| check_cube(&sig, &vars, std::hint::black_box(&shallow)).is_sat())
+                .count()
+        })
+    });
+    group.finish();
+}
+
 /// The term-pool group: intern-heavy workloads where the hash-consed
 /// `TermId` representation competes against the boxed structural-hash
 /// baseline — enumeration, bulk cached runs, and the fact-dedup probe
@@ -690,6 +740,7 @@ fn main() {
     bench_fmf_incremental(&mut criterion);
     bench_term_pool(&mut criterion);
     bench_obs_overhead(&mut criterion);
+    bench_elem_cube(&mut criterion);
 
     let step_allocs = step_allocations(100_000);
     assert_eq!(

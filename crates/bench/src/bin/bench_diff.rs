@@ -14,7 +14,11 @@
 //!   more than the tolerance (default 20%, `BENCH_DIFF_TOLERANCE`
 //!   overrides, e.g. `0.30`) means the interned kernel genuinely lost
 //!   ground against the reference kernel;
-//! * `step_allocations_per_100k_probes` — must stay exactly zero.
+//! * `step_allocations_per_100k_probes` — must stay exactly zero;
+//! * the `elem_cube` ratio — one cube over `S^64` chains against eight
+//!   over `S^8` chains — must stay at or above an absolute floor of
+//!   0.5. It is read from the current run alone, so the baseline needs
+//!   no `elem_cube` entry.
 //!
 //! Ratios present on only one side (newly added or retired bench
 //! workloads) are reported but never fail the gate.
@@ -47,6 +51,25 @@ fn parse_ratio_object(json: &str, key: &str) -> Vec<(String, f64)> {
         }
     }
     out
+}
+
+/// Absolute floor of the `elem_cube` ratio. A cube check linear in term
+/// size scores about 1; the all-pairs closure it replaced scored 0.002.
+const ELEM_CUBE_FLOOR: f64 = 0.5;
+
+/// Gates the `elem_cube` ratio of one run: `Ok` with a report line, or
+/// `Err` with the failure.
+fn elem_cube_gate(ratios: &[(String, f64)]) -> Result<String, String> {
+    match ratios.iter().find(|(n, _)| n.starts_with("elem_cube")) {
+        None => Err("FAIL elem_cube ratio missing from the current run".into()),
+        Some((name, r)) if *r < ELEM_CUBE_FLOOR => Err(format!(
+            "FAIL {name}: {r:.2}x fell below the {ELEM_CUBE_FLOOR}x floor — the cube \
+             check costs super-linear time in term depth again"
+        )),
+        Some((name, r)) => Ok(format!(
+            "ok   {name}: {r:.2}x (contract: >={ELEM_CUBE_FLOOR}x)"
+        )),
+    }
 }
 
 /// Extracts a scalar `"key": number` field.
@@ -115,7 +138,17 @@ fn main() -> ExitCode {
         println!("FAIL speedup_vs_reference missing from one input");
         return ExitCode::FAILURE;
     }
+    match elem_cube_gate(&cur_ratios) {
+        Ok(line) => println!("{line}"),
+        Err(line) => {
+            println!("{line}");
+            failures += 1;
+        }
+    }
     for (name, base) in &base_ratios {
+        if name.starts_with("elem_cube") {
+            continue;
+        }
         match cur_ratios.iter().find(|(n, _)| n == name) {
             None => println!("note {name}: not measured in current run"),
             Some((_, cur)) => {
@@ -206,7 +239,7 @@ fn main() -> ExitCode {
         }
     }
     for (name, cur) in &cur_ratios {
-        if !base_ratios.iter().any(|(n, _)| n == name) {
+        if !name.starts_with("elem_cube") && !base_ratios.iter().any(|(n, _)| n == name) {
             println!("note {name}: new workload at {cur:.2}x (no baseline)");
         }
     }
@@ -245,6 +278,14 @@ mod tests {
         assert!((ratios[0].1 - 4.739).abs() < 1e-9);
         assert!((ratios[1].1 - 6.743).abs() < 1e-9);
         assert!(parse_ratio_object(SAMPLE, "missing").is_empty());
+    }
+
+    #[test]
+    fn elem_cube_ratio_has_an_absolute_floor() {
+        let run = |r: f64| vec![("elem_cube/1xS64_vs_8xS8".to_string(), r)];
+        assert!(elem_cube_gate(&run(1.1)).is_ok());
+        assert!(elem_cube_gate(&run(0.03)).is_err());
+        assert!(elem_cube_gate(&parse_ratio_object(SAMPLE, "speedup_vs_reference")).is_err());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!   predicate parameters (the bounded-depth atoms of Definition 6);
 //! * [`check_cube`] — an Oppen-style decision procedure for conjunctions
 //!   of ADT literals (congruence closure + injectivity, distinctness,
-//!   acyclicity, testers);
+//!   acyclicity, testers): hash-consed, near-linear in the cube's term
+//!   size, and independent of literal order;
 //! * [`solve_elem_guarded`] — template-based invariant inference with
 //!   exact inductiveness checking; diverges exactly on programs without
 //!   elementary invariants, the behaviour Table 1 measures for Spacer.

@@ -440,6 +440,30 @@ mod tests {
         assert!(answer.is_sat(), "got {answer:?}");
     }
 
+    /// `tip/unsat-depth-60` without its refuter: the sweep checks every
+    /// candidate against the depth-60 query and rejects them all.
+    #[test]
+    fn deep_query_sweep_rejects_every_candidate() {
+        let target = (0..60).fold("Z".to_string(), |t, _| format!("(S {t})"));
+        let sys = parse_str(&format!(
+            r#"
+            (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
+            (declare-fun p (Nat) Bool)
+            (assert (p Z))
+            (assert (forall ((x Nat)) (=> (p x) (p (S x)))))
+            (assert (=> (p {target}) false))
+            "#
+        ))
+        .unwrap();
+        let cfg = ElemConfig {
+            saturation: SaturationConfig::zero_rounds(),
+            ..quick()
+        };
+        let (answer, stats) = solve_elem_guarded(&sys, &cfg, &Guard::new());
+        assert!(answer.is_unknown(), "got {answer:?}");
+        assert_eq!(stats.assignments, 91);
+    }
+
     #[test]
     fn cancelled_guard_interrupts_before_any_assignment() {
         let sys = parse_str(

@@ -12,8 +12,12 @@
 # ring, gated on the same absolute >=2x floor; for the
 # boolean_ops_memoized group: warm
 # AutStore memo probes vs cold kernel reconstruction, gated on an
-# absolute >=10x floor) and the Dfta::step zero-allocation check — in
-# BENCH_automata.json at the repo root. Speedup ratios are measured
+# absolute >=10x floor; for the elem_cube group: one ADT cube check over
+# S^64 chains vs eight over S^8 chains, gated on an absolute >=0.5x
+# floor read from the current run alone, so a return to cube checks
+# super-linear in term depth fails even against an older baseline) and
+# the Dfta::step zero-allocation check — in BENCH_automata.json at the
+# repo root. Speedup ratios are measured
 # in-process and machine-portable, with one caveat: the
 # parallel_saturation ratio reflects the measuring host's core count
 # (~1.0 on a single-core container, where it gates scheduling overhead
