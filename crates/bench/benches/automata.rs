@@ -444,6 +444,61 @@ fn bench_semi_naive_saturation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The saturation matcher's free-variable path against its body join.
+/// `interned` saturates `p(leaf)`, `p(x) → p(node(x, y))` with `y` free,
+/// so every derived fact binds `y` by enumerating candidate trees;
+/// `reference` saturates the join `p(x) ∧ p(y) → p(node(x, y))`, whose
+/// facts all come from the pooled body join. Both reach 20,000 facts in
+/// 6 rounds with 20,000 pooled terms on one inline worker, so a ratio
+/// near 1 means an enumerated binding costs what a joined one does.
+/// Enumeration through cloned and composed substitutions scored
+/// 0.14–0.21. `bench_diff` gates the ratio at an absolute floor on the
+/// current run alone.
+fn bench_saturation_enum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("saturation_enum");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_millis(900));
+    group.warm_up_time(std::time::Duration::from_millis(150));
+    let tree = |rule: &str| {
+        ringen_chc::parse_str(&format!(
+            "(declare-datatypes ((Tree 0)) (((leaf) (node (l Tree) (r Tree)))))\n\
+             (declare-fun p (Tree) Bool)\n\
+             (assert (p leaf))\n\
+             (assert (forall ((x Tree) (y Tree)) {rule}))\n"
+        ))
+        .expect("tree system parses")
+    };
+    let free = tree("(=> (p x) (p (node x y)))");
+    let join = tree("(=> (and (p x) (p y)) (p (node x y)))");
+    let cfg = SaturationConfig {
+        max_facts: 20_000,
+        parallel: ParallelConfig::sequential(),
+        ..SaturationConfig::default()
+    };
+    // Both workloads must do the same amount of deriving.
+    let guard = Guard::new();
+    let (free_out, free_stats) = saturate_guarded(&free, &cfg, &guard);
+    let (join_out, join_stats) = saturate_guarded(&join, &cfg, &guard);
+    assert!(
+        matches!(free_out, SaturationOutcome::Budget(_))
+            && matches!(join_out, SaturationOutcome::Budget(_)),
+        "both tree systems must reach the fact cap"
+    );
+    assert_eq!(
+        (free_stats.facts, free_stats.rounds, free_stats.pooled_terms),
+        (join_stats.facts, join_stats.rounds, join_stats.pooled_terms),
+        "the tree systems must derive as many facts and terms in as many rounds"
+    );
+
+    group.bench_function(BenchmarkId::new("interned", "tree/20k"), |b| {
+        b.iter(|| saturate_guarded(std::hint::black_box(&free), &cfg, &guard))
+    });
+    group.bench_function(BenchmarkId::new("reference", "tree/20k"), |b| {
+        b.iter(|| saturate_guarded(std::hint::black_box(&join), &cfg, &guard))
+    });
+    group.finish();
+}
+
 /// The incremental finite-model sweep against the one-shot reference:
 /// one live solver carried across the whole size sweep (selector
 /// assumptions + delta grounding + learnt-clause retention) vs a fresh
@@ -737,6 +792,7 @@ fn main() {
     bench_saturation(&mut criterion);
     bench_parallel_saturation(&mut criterion);
     bench_semi_naive_saturation(&mut criterion);
+    bench_saturation_enum(&mut criterion);
     bench_fmf_incremental(&mut criterion);
     bench_term_pool(&mut criterion);
     bench_obs_overhead(&mut criterion);

@@ -16,9 +16,12 @@
 //!   ground against the reference kernel;
 //! * `step_allocations_per_100k_probes` — must stay exactly zero;
 //! * the `elem_cube` ratio — one cube over `S^64` chains against eight
-//!   over `S^8` chains — must stay at or above an absolute floor of
-//!   0.5. It is read from the current run alone, so the baseline needs
-//!   no `elem_cube` entry.
+//!   over `S^8` chains — and the `saturation_enum` ratio — a tree
+//!   saturation whose facts bind a free head variable by enumeration
+//!   against one whose facts all come from the body join — must each
+//!   stay at or above an absolute floor of 0.5 ([`FLOORS`]). They are
+//!   read from the current run alone, so the baseline needs no entry
+//!   for them.
 //!
 //! Ratios present on only one side (newly added or retired bench
 //! workloads) are reported but never fail the gate.
@@ -53,23 +56,47 @@ fn parse_ratio_object(json: &str, key: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Absolute floor of the `elem_cube` ratio. A cube check linear in term
-/// size scores about 1; the all-pairs closure it replaced scored 0.002.
-const ELEM_CUBE_FLOOR: f64 = 0.5;
+/// Groups gated at an absolute floor read from the current run alone:
+/// (group, floor, what falling below it means).
+///
+/// * `elem_cube`: a cube check linear in term size scores about 1; the
+///   all-pairs closure it replaced scored 0.002.
+/// * `saturation_enum`: enumerating a free variable onto the pooled
+///   binding scores about 1; cloning and composing substitutions per
+///   candidate scored 0.14–0.21.
+const FLOORS: [(&str, f64, &str); 2] = [
+    (
+        "elem_cube",
+        0.5,
+        "the cube check costs super-linear time in term depth again",
+    ),
+    (
+        "saturation_enum",
+        0.5,
+        "free-variable enumeration left the pooled matcher again",
+    ),
+];
 
-/// Gates the `elem_cube` ratio of one run: `Ok` with a report line, or
-/// `Err` with the failure.
-fn elem_cube_gate(ratios: &[(String, f64)]) -> Result<String, String> {
-    match ratios.iter().find(|(n, _)| n.starts_with("elem_cube")) {
-        None => Err("FAIL elem_cube ratio missing from the current run".into()),
-        Some((name, r)) if *r < ELEM_CUBE_FLOOR => Err(format!(
-            "FAIL {name}: {r:.2}x fell below the {ELEM_CUBE_FLOOR}x floor — the cube \
-             check costs super-linear time in term depth again"
+/// Gates one [`FLOORS`] group's ratio in one run: `Ok` with a report
+/// line, or `Err` with the failure.
+fn floor_gate(ratios: &[(String, f64)], group: &str) -> Result<String, String> {
+    let (_, floor, why) = FLOORS
+        .iter()
+        .find(|(g, _, _)| *g == group)
+        .expect("a gated group");
+    match ratios.iter().find(|(n, _)| n.starts_with(group)) {
+        None => Err(format!("FAIL {group} ratio missing from the current run")),
+        Some((name, r)) if r < floor => Err(format!(
+            "FAIL {name}: {r:.2}x fell below the {floor}x floor — {why}"
         )),
-        Some((name, r)) => Ok(format!(
-            "ok   {name}: {r:.2}x (contract: >={ELEM_CUBE_FLOOR}x)"
-        )),
+        Some((name, r)) => Ok(format!("ok   {name}: {r:.2}x (contract: >={floor}x)")),
     }
+}
+
+/// Whether a ratio belongs to a [`FLOORS`] group (and so is not
+/// compared against the baseline).
+fn floor_gated(name: &str) -> bool {
+    FLOORS.iter().any(|(g, _, _)| name.starts_with(g))
 }
 
 /// Extracts a scalar `"key": number` field.
@@ -138,15 +165,17 @@ fn main() -> ExitCode {
         println!("FAIL speedup_vs_reference missing from one input");
         return ExitCode::FAILURE;
     }
-    match elem_cube_gate(&cur_ratios) {
-        Ok(line) => println!("{line}"),
-        Err(line) => {
-            println!("{line}");
-            failures += 1;
+    for (group, _, _) in FLOORS {
+        match floor_gate(&cur_ratios, group) {
+            Ok(line) => println!("{line}"),
+            Err(line) => {
+                println!("{line}");
+                failures += 1;
+            }
         }
     }
     for (name, base) in &base_ratios {
-        if name.starts_with("elem_cube") {
+        if floor_gated(name) {
             continue;
         }
         match cur_ratios.iter().find(|(n, _)| n == name) {
@@ -239,7 +268,7 @@ fn main() -> ExitCode {
         }
     }
     for (name, cur) in &cur_ratios {
-        if !name.starts_with("elem_cube") && !base_ratios.iter().any(|(n, _)| n == name) {
+        if !floor_gated(name) && !base_ratios.iter().any(|(n, _)| n == name) {
             println!("note {name}: new workload at {cur:.2}x (no baseline)");
         }
     }
@@ -283,9 +312,23 @@ mod tests {
     #[test]
     fn elem_cube_ratio_has_an_absolute_floor() {
         let run = |r: f64| vec![("elem_cube/1xS64_vs_8xS8".to_string(), r)];
-        assert!(elem_cube_gate(&run(1.1)).is_ok());
-        assert!(elem_cube_gate(&run(0.03)).is_err());
-        assert!(elem_cube_gate(&parse_ratio_object(SAMPLE, "speedup_vs_reference")).is_err());
+        assert!(floor_gate(&run(1.1), "elem_cube").is_ok());
+        assert!(floor_gate(&run(0.03), "elem_cube").is_err());
+        let sample = parse_ratio_object(SAMPLE, "speedup_vs_reference");
+        assert!(floor_gate(&sample, "elem_cube").is_err());
+    }
+
+    #[test]
+    fn saturation_enum_ratio_has_an_absolute_floor() {
+        let run = |r: f64| vec![("saturation_enum/tree/20k".to_string(), r)];
+        assert!(floor_gate(&run(1.06), "saturation_enum").is_ok());
+        assert!(floor_gate(&run(0.5), "saturation_enum").is_ok());
+        assert!(floor_gate(&run(0.21), "saturation_enum").is_err());
+        // Each group is read by its own prefix: another group's ratio
+        // neither satisfies nor fails it.
+        let elem_only = vec![("elem_cube/1xS64_vs_8xS8".to_string(), 1.1)];
+        assert!(floor_gate(&elem_only, "saturation_enum").is_err());
+        assert!(floor_gated("saturation_enum/tree/20k") && !floor_gated("run/deep/1000"));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! — UNSAT answers are certified, mirroring how SAT answers carry a
 //! checkable [`crate::RegularInvariant`].
 //!
-//! Constraints are evaluated natively on ground terms (`=`, `≠`, testers)
-//! so the refuter runs on the *original* system, independent of the
-//! preprocessing pipeline it cross-validates.
+//! Constraints (`=`, `≠`, testers) are decided natively on interned
+//! terms, so the refuter runs on the *original* system, independent of
+//! the preprocessing pipeline it cross-validates.
 //!
 //! # The interned fact base
 //!
@@ -22,10 +22,38 @@
 //! variable against a candidate subterm is a `u32` compare, never a
 //! tree walk), and the fact index is an open-addressing probe table
 //! over the fact arena, so a fact is stored exactly once. Derived-term
-//! heights come from the pool's memoized table. The boxed
-//! [`GroundTerm`] representation only appears at the certificate
-//! boundary ([`Refutation`] / [`check_refutation`]), which replays
-//! derivations independently of the pool.
+//! heights come from the pool's memoized table. Boxed [`GroundTerm`]s
+//! appear in only two places: the per-sort cache of enumeration
+//! candidates (below) and the certificate boundary ([`Refutation`] /
+//! [`check_refutation`]), which replays derivations independently of
+//! the pool.
+//!
+//! # Constraints and free variables, on pooled ids
+//!
+//! A clause whose body join binds every variable and which has no
+//! constraint derives its head straight from the join's binding. Any
+//! other clause stays on pooled ids too; each worker's matcher works in
+//! its [`ScratchPool`], a view that resolves snapshot and scratch ids
+//! alike:
+//!
+//! - **Equalities** are solved to a fixpoint. When every variable of
+//!   one side is bound, that side is interned into the scratch pool
+//!   and the other side is matched against the resulting id, binding
+//!   its variables; two bound sides compare by id. The matcher is the
+//!   one the body join uses.
+//! - **Free variables** — those neither the join nor an equality binds
+//!   — are enumerated in `clause.vars` order. Each ranges over the
+//!   first [`SaturationConfig::free_var_candidates`] terms of its sort
+//!   by size, interned once per work item; one step per candidate, and
+//!   a binding is a push onto the pooled binding.
+//! - **Disequalities** are decided by id comparison and **testers** by
+//!   the head symbol, once every variable is bound. So are equalities
+//!   whose sides both still held unbound variables after the fixpoint
+//!   (`x = S(y)` with `x` and `y` free): both variables are enumerated
+//!   and the equality checked afterwards — enumerate, then check.
+//!
+//! A binding that took this path is recorded in `clause.vars` order; one
+//! straight from the join keeps the join's order.
 //!
 //! # Sharded rounds: snapshot, delta, merge
 //!
@@ -114,8 +142,8 @@ use ringen_chc::{Atom, ChcSystem, Clause, Constraint, PredId};
 use ringen_parallel::{Guard, ParallelConfig, Pool, Recorder};
 use ringen_terms::intern::InternTable;
 use ringen_terms::{
-    herbrand::terms_by_size, GroundTerm, ScratchNodes, ScratchPool, SortId, Substitution, Term,
-    TermId, TermPool, VarId,
+    herbrand::terms_by_size, GroundTerm, ScratchNodes, ScratchPool, SortId, Term, TermId, TermPool,
+    VarId,
 };
 use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
 use smallvec::SmallVec;
@@ -463,8 +491,12 @@ impl FactBase {
     }
 }
 
-/// Join candidates between guard polls inside a worker's matcher (see
-/// [`saturate_guarded`]).
+/// Steps between guard polls: join and enumeration steps inside a
+/// worker's matcher, and candidates in the sequential round merge (see
+/// [`saturate_guarded`]). A cancel noticed by a worker discards the
+/// in-flight round; one noticed by the merge keeps the facts merged
+/// before it, so an interrupted fact base is always a prefix of the
+/// uncancelled run's fact list.
 pub const GUARD_STEP_PERIOD: u64 = 128;
 
 /// Outcome of [`saturate_guarded`].
@@ -480,10 +512,11 @@ pub enum SaturationOutcome {
     /// A budget was exhausted first; facts derived so far are returned.
     Budget(FactBase),
     /// The [`Guard`] tripped (cancellation or deadline). The fact base
-    /// holds every *completed* round's facts — the in-flight round's
-    /// deltas are discarded wholesale, so the state is exactly what a
-    /// smaller `max_rounds` budget would have produced and is safe to
-    /// reuse or resume from.
+    /// is a prefix of the uncancelled run's fact list: every completed
+    /// round's facts, plus — when the cancel landed during a round's
+    /// merge — the facts that merge added before it polled. A cancel
+    /// noticed by the workers discards the in-flight round's deltas
+    /// whole. [`SaturationStats::rounds`] counts completed rounds only.
     Interrupted(FactBase),
 }
 
@@ -593,6 +626,8 @@ fn run_item(
         scratch: base.pool.scratch(),
         enum_cache,
         enum_fresh: FxHashMap::default(),
+        enum_ids: Vec::new(),
+        enum_ranges: FxHashMap::default(),
         steps: 0,
         step_budget,
         budget_hit: false,
@@ -625,6 +660,16 @@ enum RoundEnd {
     Refuted(Refutation),
     /// A budget was exhausted while merging.
     Budget,
+    /// The guard tripped mid-merge; the facts merged so far stay.
+    Interrupted,
+}
+
+/// Counts one merged candidate and polls the guard every
+/// [`GUARD_STEP_PERIOD`] of them: `true` once it has tripped.
+#[inline]
+fn merge_poll(merged: &mut u64, guard: &Guard) -> bool {
+    *merged += 1;
+    merged.is_multiple_of(GUARD_STEP_PERIOD) && guard.is_cancelled()
 }
 
 /// Re-interns one scratch id into the master pool. Ids below the
@@ -655,18 +700,22 @@ fn presized_memo(nodes: &ScratchNodes) -> Vec<Option<TermId>> {
 /// Folds the per-clause deltas into the base **in clause order** —
 /// dedup, budgets, provenance and refutation selection are all decided
 /// here, sequentially, which is what makes the engine deterministic at
-/// any thread count. This is the naive engine's merge, kept verbatim
-/// as the differential reference; the semi-naive engine merges through
-/// [`merge_round_semi`].
+/// any thread count. This is the naive engine's merge, kept as the
+/// differential reference; the semi-naive engine merges through
+/// [`merge_round_semi`]. Both poll the guard between candidates (see
+/// [`merge_poll`]).
+#[allow(clippy::too_many_arguments)]
 fn merge_round(
     cfg: &SaturationConfig,
     base: &mut FactBase,
     enum_cache: &mut FxHashMap<SortId, Vec<GroundTerm>>,
     runs: Vec<ClauseRun>,
     stats: &mut SaturationStats,
+    guard: &Guard,
     rec: &Recorder,
     round: usize,
 ) -> RoundEnd {
+    let mut merged = 0u64;
     for (ci, run) in runs.into_iter().enumerate() {
         if rec.text_enabled() {
             rec.text_line(format_args!(
@@ -691,6 +740,9 @@ fn merge_round(
             return RoundEnd::Refuted(build_refutation(base, ci, &bind, premises));
         }
         for (pred, args, bind, premises) in run.new_facts {
+            if merge_poll(&mut merged, guard) {
+                return RoundEnd::Interrupted;
+            }
             let margs: FactArgs = args
                 .iter()
                 .map(|&a| remap(&mut base.pool, &run.nodes, &mut memo, a))
@@ -735,9 +787,11 @@ fn merge_round_semi(
     dirty: &mut [bool],
     snap_len: usize,
     stats: &mut SaturationStats,
+    guard: &Guard,
     rec: &Recorder,
     round: usize,
 ) -> RoundEnd {
+    let mut merged = 0u64;
     // The naive matcher retains at most this many clause-new candidates
     // before flagging the fact cap; replaying that truncation at merge
     // time is what keeps the engines' Budget behavior aligned.
@@ -812,6 +866,9 @@ fn merge_round_semi(
         let mut processed = 0usize;
         let mut truncated = false;
         for (vi, fi) in order {
+            if merge_poll(&mut merged, guard) {
+                return RoundEnd::Interrupted;
+            }
             if processed >= clause_cap {
                 // The naive worker hit the fact cap here: nothing past
                 // this point was ever emitted (or its terms interned),
@@ -873,14 +930,16 @@ fn merge_round_semi(
 /// spawned once per call and parked between rounds (see the
 /// [module docs](self)); the result is identical at any worker count.
 ///
-/// The [`Guard`] is polled between rounds and every
-/// [`GUARD_STEP_PERIOD`] join candidates inside the workers. When it
-/// trips, the in-flight round's deltas are discarded *wholesale* and
-/// [`SaturationOutcome::Interrupted`] returns the fact base as of the
-/// last completed round — never a torn half-merge — together with the
-/// stats accumulated so far. A guard that never trips leaves the run
-/// unchanged. A zero-round budget ([`SaturationConfig::zero_rounds`])
-/// returns an empty [`SaturationOutcome::Budget`] before any of this.
+/// The [`Guard`] is polled between rounds, every [`GUARD_STEP_PERIOD`]
+/// join or enumeration steps inside the workers, and every
+/// [`GUARD_STEP_PERIOD`] candidates of the sequential merge. When the
+/// workers notice it, the in-flight round's deltas are discarded
+/// whole; when the merge does, the facts merged so far stay. Either
+/// way [`SaturationOutcome::Interrupted`] returns a prefix of the
+/// uncancelled run's fact list, together with the stats accumulated so
+/// far. A guard that never trips leaves the run unchanged. A
+/// zero-round budget ([`SaturationConfig::zero_rounds`]) returns an
+/// empty [`SaturationOutcome::Budget`] before any of this.
 pub fn saturate_guarded(
     sys: &ChcSystem,
     cfg: &SaturationConfig,
@@ -1012,10 +1071,12 @@ fn saturate_rounds(
                 guard,
             )
         });
-        // A tripped guard discards the whole round: merging a torn
-        // subset of the deltas would leave a state no budget-bounded
-        // run could produce. `stats.rounds` already counts this round
-        // as started; facts/steps reflect only completed rounds.
+        // A guard tripped before the merge discards the whole round:
+        // items cut short mid-join hold torn deltas, whose merge would
+        // not be a prefix of the uncancelled run. (The merge itself
+        // stops at a prefix; see `merge_poll`.) `stats.rounds` already
+        // counts this round as started; facts/steps reflect only
+        // completed rounds.
         if runs.iter().any(|r| r.interrupted) || guard.is_cancelled() {
             round_span.note_str("end", "interrupted");
             stats.rounds = round;
@@ -1032,6 +1093,7 @@ fn saturate_rounds(
                 &mut dirty,
                 before,
                 &mut stats,
+                guard,
                 rec,
                 round,
             )
@@ -1042,6 +1104,7 @@ fn saturate_rounds(
                 &mut enum_cache,
                 runs,
                 &mut stats,
+                guard,
                 rec,
                 round,
             )
@@ -1057,6 +1120,12 @@ fn saturate_rounds(
                 round_span.note_str("end", "budget");
                 finalize(&mut stats, &mut base);
                 return (SaturationOutcome::Budget(base), stats);
+            }
+            RoundEnd::Interrupted => {
+                round_span.note_str("end", "interrupted");
+                stats.rounds = round;
+                finalize(&mut stats, &mut base);
+                return (SaturationOutcome::Interrupted(base), stats);
             }
             RoundEnd::Done => {}
         }
@@ -1077,9 +1146,29 @@ fn bind_get(bind: &Bind, v: VarId) -> Option<TermId> {
     bind.iter().find(|(w, _)| *w == v).map(|(_, id)| *id)
 }
 
+/// Drops the bindings pushed since `mark` (the join and the
+/// enumeration use `bind` as a stack).
+#[inline]
+fn unbind(bind: &mut Bind, mark: usize) {
+    while bind.len() > mark {
+        bind.pop();
+    }
+}
+
+/// Whether every variable of a clause term is bound.
+fn is_bound(t: &Term, bind: &Bind) -> bool {
+    match t {
+        Term::Var(v) => bind_get(bind, *v).is_some(),
+        Term::App(_, args) => args.iter().all(|a| is_bound(a, bind)),
+    }
+}
+
 /// Matches a clause pattern against an interned ground term, extending
 /// `bind`. Repeated variables compare by id — O(1), never a tree walk.
-fn match_pooled(pool: &TermPool, pat: &Term, id: TermId, bind: &mut Bind) -> bool {
+/// The scratch view resolves snapshot and scratch ids alike, so one
+/// matcher serves the body join and the equality solver. On failure
+/// `bind` may hold a partial extension, which callers [`unbind`].
+fn match_pooled(pool: &ScratchPool<'_>, pat: &Term, id: TermId, bind: &mut Bind) -> bool {
     match pat {
         Term::Var(v) => match bind_get(bind, *v) {
             Some(bound) => bound == id,
@@ -1094,20 +1183,15 @@ fn match_pooled(pool: &TermPool, pat: &Term, id: TermId, bind: &mut Bind) -> boo
             }
             let args = pool.args(id);
             debug_assert_eq!(args.len(), pats.len(), "well-sorted pattern arity");
-            // Child ids are copied out so the recursion does not hold
-            // the `args` borrow; patterns are clause-authored and
-            // shallow, and arity ≤ 4 stays on the stack.
-            let args: FactArgs = SmallVec::from_slice(args);
             pats.iter()
                 .zip(args)
-                .all(|(p, a)| match_pooled(pool, p, a, bind))
+                .all(|(p, &a)| match_pooled(pool, p, a, bind))
         }
     }
 }
 
 /// Instantiates a (fully bound) clause term directly into the worker's
-/// scratch pool. `None` if a variable is unbound — the caller falls
-/// back to the enumeration path.
+/// scratch pool. `None` if a variable is unbound.
 fn intern_pattern(pool: &mut ScratchPool<'_>, pat: &Term, bind: &Bind) -> Option<TermId> {
     match pat {
         Term::Var(v) => bind_get(bind, *v),
@@ -1161,6 +1245,10 @@ struct Matcher<'a> {
     enum_cache: &'a FxHashMap<SortId, Vec<GroundTerm>>,
     /// …plus the entries this clause computed fresh (pure per sort).
     enum_fresh: FxHashMap<SortId, Vec<GroundTerm>>,
+    /// The same candidates as scratch ids, interned once per work item:
+    /// `enum_ids[enum_ranges[sort]]`.
+    enum_ids: Vec<TermId>,
+    enum_ranges: FxHashMap<SortId, std::ops::Range<usize>>,
     /// Body-match attempts spent by this clause.
     steps: u64,
     /// Step budget remaining at the round's start.
@@ -1172,7 +1260,7 @@ struct Matcher<'a> {
     /// full rescan.
     facts_capped: bool,
     /// Cooperative cancellation token, polled every
-    /// [`GUARD_STEP_PERIOD`] join candidates.
+    /// [`GUARD_STEP_PERIOD`] steps.
     guard: &'a Guard,
     /// The guard tripped; stop matching, the round will be discarded.
     interrupted: bool,
@@ -1184,7 +1272,29 @@ struct Matcher<'a> {
 
 impl<'a> Matcher<'a> {
     fn run(&mut self) {
-        self.match_body(0, Bind::new(), Vec::new());
+        self.match_body(0, &mut Bind::new(), &mut Vec::new());
+    }
+
+    /// Whether this item is done: a query fired, a budget ran out, or
+    /// the guard tripped.
+    fn stopped(&self) -> bool {
+        self.refutation.is_some() || self.budget_hit || self.interrupted
+    }
+
+    /// Counts one join or enumeration step against the step budget and
+    /// polls the guard every [`GUARD_STEP_PERIOD`] steps; `false` once
+    /// either stops the item.
+    fn step(&mut self) -> bool {
+        self.steps += 1;
+        if self.steps >= self.step_budget {
+            self.budget_hit = true;
+            return false;
+        }
+        if self.steps.is_multiple_of(GUARD_STEP_PERIOD) && self.guard.is_cancelled() {
+            self.interrupted = true;
+            return false;
+        }
+        true
     }
 
     /// The candidate rows for body atom `k` under `bind`: the
@@ -1226,114 +1336,210 @@ impl<'a> Matcher<'a> {
 
     /// Joins body atoms left to right against the frozen snapshot,
     /// entirely on pooled ids: no term is cloned or reconstructed here.
-    fn match_body(&mut self, k: usize, bind: Bind, premises: Vec<usize>) {
-        if self.refutation.is_some() || self.budget_hit || self.interrupted {
-            return;
-        }
+    /// `bind` and `premises` are stacks: each candidate pushes onto
+    /// them and truncates back before the next.
+    fn match_body(&mut self, k: usize, bind: &mut Bind, premises: &mut Vec<usize>) {
         if k == self.clause.body.len() {
             self.finish_constraints(bind, premises);
             return;
         }
         let atom = &self.clause.body[k];
         // The snapshot is never written during the round, so the
-        // candidate row can be borrowed across the recursion — the old
-        // `&mut`-aliasing clone is gone.
+        // candidate row can be borrowed across the recursion.
         let base = self.base;
-        let candidates: &[u32] = self.candidates_for(k, &bind);
+        let candidates: &[u32] = self.candidates_for(k, bind);
+        let mark = bind.len();
         for &fi in candidates {
-            self.steps += 1;
-            if self.steps >= self.step_budget {
-                self.budget_hit = true;
-                return;
-            }
-            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) && self.guard.is_cancelled() {
-                self.interrupted = true;
+            if !self.step() {
                 return;
             }
             let fi = fi as usize;
-            let mut bind2 = bind.clone();
-            let ok = {
-                let fact_args = &base.facts[fi].1;
-                atom.args
-                    .iter()
-                    .zip(fact_args)
-                    .all(|(pat, id)| match_pooled(&base.pool, pat, *id, &mut bind2))
-            };
+            let ok = atom
+                .args
+                .iter()
+                .zip(&base.facts[fi].1)
+                .all(|(pat, id)| match_pooled(&self.scratch, pat, *id, bind));
             if ok {
-                let mut premises2 = premises.clone();
-                premises2.push(fi);
-                self.match_body(k + 1, bind2, premises2);
+                premises.push(fi);
+                self.match_body(k + 1, bind, premises);
+                premises.pop();
             }
-            if self.refutation.is_some() || self.budget_hit || self.interrupted {
+            unbind(bind, mark);
+            if self.stopped() {
                 return;
             }
         }
     }
 
-    /// After the body is matched: the common case — no constraints, all
-    /// variables bound — derives the head fact without leaving the
-    /// pool; otherwise fall back to the substitution machinery for
-    /// constraint folding and free-variable enumeration.
-    fn finish_constraints(&mut self, bind: Bind, premises: Vec<usize>) {
-        let all_bound = self
-            .clause
-            .vars
-            .vars()
-            .all(|v| bind_get(&bind, v).is_some());
-        if self.clause.constraints.is_empty() && all_bound {
+    /// After the body is matched. The common case — no constraints,
+    /// every variable bound — derives the head fact at once, binding in
+    /// body-match order. Otherwise the equalities are solved on pooled
+    /// ids ([`Matcher::solve_equalities`]), every variable still free
+    /// is enumerated ([`Matcher::bind_free`]), and each full binding is
+    /// checked and passed on in `clause.vars` order.
+    fn finish_constraints(&mut self, bind: &mut Bind, premises: &[usize]) {
+        let clause = self.clause;
+        let all_bound = clause.vars.vars().all(|v| bind_get(bind, v).is_some());
+        if clause.constraints.is_empty() && all_bound {
             self.finish_pooled(bind, premises);
             return;
         }
-
-        // Legacy path. Reconstruct a substitution from the pooled
-        // binding (ids here come from body matching, so they are
-        // snapshot ids); equalities may bind further variables
-        // (clauses of the form `x = S(y) ∧ … → …` carry definitions in
-        // constraints).
-        let mut sub = Substitution::new();
-        for (v, id) in &bind {
-            sub.bind(*v, self.base.pool.to_term(*id));
+        let mark = bind.len();
+        if let Some(open) = self.solve_equalities(bind) {
+            let free: SmallVec<[VarId; 8]> = clause
+                .vars
+                .vars()
+                .filter(|&v| bind_get(bind, v).is_none())
+                .collect();
+            self.bind_free(&free, bind, open, premises);
         }
-        for c in &self.clause.constraints {
-            match c {
-                Constraint::Eq(a, b) => {
-                    let a = sub.apply_deep(a);
-                    let b = sub.apply_deep(b);
-                    match ringen_terms::unify(&a, &b) {
-                        Ok(u) => sub.compose(&u),
-                        Err(_) => return,
+        unbind(bind, mark);
+    }
+
+    /// Solves the clause's equalities to a fixpoint on pooled ids: a
+    /// side whose variables are all bound is interned into the scratch
+    /// pool, and the other side is matched against that id, binding its
+    /// variables; two bound sides compare by id. `None` on a clash.
+    /// Otherwise `Some(open)`, where `open` says some equality still has
+    /// unbound variables on both sides. Those are left to enumeration
+    /// and checked once every variable is bound (enumerate, then
+    /// check).
+    fn solve_equalities(&mut self, bind: &mut Bind) -> Option<bool> {
+        loop {
+            let mut progress = false;
+            let mut open = false;
+            for c in &self.clause.constraints {
+                let Constraint::Eq(a, b) = c else { continue };
+                let (pat, id) = match (is_bound(a, bind), is_bound(b, bind)) {
+                    (true, true) => {
+                        let ia = intern_pattern(&mut self.scratch, a, bind);
+                        if ia != intern_pattern(&mut self.scratch, b, bind) {
+                            return None;
+                        }
+                        continue;
                     }
+                    (true, false) => (b, intern_pattern(&mut self.scratch, a, bind)?),
+                    (false, true) => (a, intern_pattern(&mut self.scratch, b, bind)?),
+                    (false, false) => {
+                        open = true;
+                        continue;
+                    }
+                };
+                if !match_pooled(&self.scratch, pat, id, bind) {
+                    return None;
                 }
-                Constraint::Neq(..) | Constraint::Tester { .. } => {}
+                progress = true;
+            }
+            if !progress {
+                return Some(open);
             }
         }
-        // Bind any variable still free with enumerated ground terms.
-        let free: Vec<VarId> = self
-            .clause
+    }
+
+    /// The scratch-id range of `sort`'s enumeration candidates: the
+    /// first [`SaturationConfig::free_var_candidates`] terms by size,
+    /// boxed in the per-sort cache and interned here once per work
+    /// item.
+    fn sort_candidates(&mut self, sort: SortId) -> std::ops::Range<usize> {
+        if let Some(r) = self.enum_ranges.get(&sort) {
+            return r.clone();
+        }
+        let terms = match self.enum_cache.get(&sort) {
+            Some(terms) => terms,
+            None => self.enum_fresh.entry(sort).or_insert_with(|| {
+                terms_by_size(&self.sys.sig, sort, self.cfg.free_var_candidates)
+            }),
+        };
+        let start = self.enum_ids.len();
+        for t in terms {
+            self.enum_ids.push(self.scratch.intern_term(t));
+        }
+        let range = start..self.enum_ids.len();
+        self.enum_ranges.insert(sort, range.clone());
+        range
+    }
+
+    /// Binds the variables in `free` one after another, each to every
+    /// candidate of its sort in turn: one step per candidate, a push
+    /// onto `bind` per binding.
+    fn bind_free(&mut self, free: &[VarId], bind: &mut Bind, open: bool, premises: &[usize]) {
+        let Some((&v, rest)) = free.split_first() else {
+            self.finish_ground(bind, open, premises);
+            return;
+        };
+        let sort = self.clause.vars.sort(v).expect("var in context");
+        for i in self.sort_candidates(sort) {
+            if !self.step() {
+                return;
+            }
+            bind.push((v, self.enum_ids[i]));
+            self.bind_free(rest, bind, open, premises);
+            bind.pop();
+            if self.stopped() {
+                return;
+            }
+        }
+    }
+
+    /// A full binding of a clause with constraints or free variables:
+    /// decides `≠` by id, a tester by the head symbol, and — when the
+    /// equality solver left some open — `=` by id, then derives the head
+    /// with the binding in `clause.vars` order.
+    fn finish_ground(&mut self, bind: &Bind, open: bool, premises: &[usize]) {
+        let clause = self.clause;
+        for c in &clause.constraints {
+            let holds = match c {
+                Constraint::Eq(a, b) => {
+                    !open
+                        || intern_pattern(&mut self.scratch, a, bind)
+                            == intern_pattern(&mut self.scratch, b, bind)
+                }
+                Constraint::Neq(a, b) => {
+                    intern_pattern(&mut self.scratch, a, bind)
+                        != intern_pattern(&mut self.scratch, b, bind)
+                }
+                Constraint::Tester {
+                    ctor,
+                    term,
+                    positive,
+                } => {
+                    let head = match term {
+                        Term::App(f, _) => *f,
+                        Term::Var(v) => self
+                            .scratch
+                            .func(bind_get(bind, *v).expect("every variable is bound")),
+                    };
+                    (head == *ctor) == *positive
+                }
+            };
+            if !holds {
+                return;
+            }
+        }
+        let ordered: Bind = clause
             .vars
             .vars()
-            .filter(|&v| !sub.apply_deep(&Term::var(v)).is_ground())
+            .map(|v| (v, bind_get(bind, v).expect("every variable is bound")))
             .collect();
-        self.bind_free(&free, 0, sub, premises);
+        self.finish_pooled(&ordered, premises);
     }
 
     /// Pooled head derivation: instantiate head arguments directly as
     /// interned ids (into the scratch extension), check the height
     /// budget from the memoized tables, dedup by id tuple.
-    fn finish_pooled(&mut self, bind: Bind, premises: Vec<usize>) {
+    fn finish_pooled(&mut self, bind: &Bind, premises: &[usize]) {
         let clause = self.clause;
         match &clause.head {
             None => {
                 // ⊥ derived. The certificate is built at merge time,
                 // against the master pool; stash the instance.
-                self.refutation = Some((bind.into_vec(), premises));
+                self.refutation = Some((bind.to_vec(), premises.to_vec()));
             }
             Some(atom) => {
                 // Height check *before* interning: rejected heads must
-                // not grow the scratch (the old boxed path built a
-                // transient term and dropped it).
+                // not grow the scratch.
                 for t in &atom.args {
-                    match pattern_height(&self.scratch, t, &bind) {
+                    match pattern_height(&self.scratch, t, bind) {
                         Some(h) if h > self.cfg.max_term_height => return,
                         Some(_) => {}
                         None => return,
@@ -1342,7 +1548,7 @@ impl<'a> Matcher<'a> {
                 let args: Option<FactArgs> = atom
                     .args
                     .iter()
-                    .map(|t| intern_pattern(&mut self.scratch, t, &bind))
+                    .map(|t| intern_pattern(&mut self.scratch, t, bind))
                     .collect();
                 let Some(args) = args else { return };
                 let pred = atom.pred;
@@ -1357,123 +1563,11 @@ impl<'a> Matcher<'a> {
                         return;
                     }
                     self.new_index.insert((pred, args.clone()));
-                    self.new_facts.push((pred, args, bind, premises));
+                    self.new_facts
+                        .push((pred, args, bind.clone(), premises.to_vec()));
                 }
             }
         }
-    }
-
-    fn bind_free(&mut self, free: &[VarId], k: usize, sub: Substitution, premises: Vec<usize>) {
-        if self.refutation.is_some() || self.budget_hit || self.interrupted {
-            return;
-        }
-        if k == free.len() {
-            self.finish_ground(sub, premises);
-            return;
-        }
-        let v = free[k];
-        let sort = self.clause.vars.sort(v).expect("var in context");
-        let cached = self
-            .enum_cache
-            .get(&sort)
-            .or_else(|| self.enum_fresh.get(&sort))
-            .cloned();
-        let candidates = match cached {
-            Some(v) => v,
-            None => {
-                let v = terms_by_size(&self.sys.sig, sort, self.cfg.free_var_candidates);
-                self.enum_fresh.insert(sort, v.clone());
-                v
-            }
-        };
-        for t in candidates {
-            self.steps += 1;
-            if self.steps >= self.step_budget {
-                self.budget_hit = true;
-                return;
-            }
-            if self.steps.is_multiple_of(GUARD_STEP_PERIOD) && self.guard.is_cancelled() {
-                self.interrupted = true;
-                return;
-            }
-            let mut sub2 = sub.clone();
-            let mut single = Substitution::new();
-            single.bind(v, Term::from(&t));
-            sub2.compose(&single);
-            self.bind_free(free, k + 1, sub2, premises.clone());
-            if self.refutation.is_some() || self.budget_hit || self.interrupted {
-                return;
-            }
-        }
-    }
-
-    /// End of the legacy path: every variable is ground under `sub`.
-    /// Constraints are re-checked groundly, then the binding and head
-    /// arguments are interned into the pool.
-    fn finish_ground(&mut self, sub: Substitution, premises: Vec<usize>) {
-        // Check remaining (now ground) constraints.
-        for c in &self.clause.constraints {
-            match c {
-                Constraint::Eq(a, b) => {
-                    // Already folded into the substitution; re-check
-                    // groundly for safety.
-                    let (Some(a), Some(b)) =
-                        (sub.apply_deep(a).to_ground(), sub.apply_deep(b).to_ground())
-                    else {
-                        return;
-                    };
-                    if a != b {
-                        return;
-                    }
-                }
-                Constraint::Neq(a, b) => {
-                    let (Some(a), Some(b)) =
-                        (sub.apply_deep(a).to_ground(), sub.apply_deep(b).to_ground())
-                    else {
-                        return;
-                    };
-                    if a == b {
-                        return;
-                    }
-                }
-                Constraint::Tester {
-                    ctor,
-                    term,
-                    positive,
-                } => {
-                    let Some(g) = sub.apply_deep(term).to_ground() else {
-                        return;
-                    };
-                    if (g.func() == *ctor) != *positive {
-                        return;
-                    }
-                }
-            }
-        }
-        // Height-check the instantiated head transiently (boxed, then
-        // dropped — as the pre-pool code did) before interning the
-        // binding into the scratch extension.
-        let clause = self.clause;
-        if let Some(atom) = &clause.head {
-            for t in &atom.args {
-                let Some(g) = sub.apply_deep(t).to_ground() else {
-                    return;
-                };
-                if g.height() > self.cfg.max_term_height {
-                    return;
-                }
-            }
-        }
-        let binding: Bind = clause
-            .vars
-            .vars()
-            .filter_map(|v| {
-                sub.apply_deep(&Term::var(v))
-                    .to_ground()
-                    .map(|g| (v, self.scratch.intern_term(&g)))
-            })
-            .collect();
-        self.finish_pooled(binding, premises);
     }
 }
 
@@ -1541,6 +1635,8 @@ pub enum RefutationError {
     BadClause(usize),
     /// The binding does not ground every clause variable.
     UnboundVariable(usize),
+    /// A binding's term is ill-sorted or not of its variable's sort.
+    IllSorted(usize),
     /// A ground constraint of the instantiated clause is false.
     FalseConstraint(usize),
     /// A premise index is out of range or derives the wrong fact.
@@ -1557,6 +1653,12 @@ impl fmt::Display for RefutationError {
             RefutationError::BadClause(i) => write!(f, "step {i}: clause index out of range"),
             RefutationError::UnboundVariable(i) => {
                 write!(f, "step {i}: binding leaves a clause variable free")
+            }
+            RefutationError::IllSorted(i) => {
+                write!(
+                    f,
+                    "step {i}: a binding's term does not have its variable's sort"
+                )
             }
             RefutationError::FalseConstraint(i) => {
                 write!(f, "step {i}: instantiated constraint is false")
@@ -1586,6 +1688,13 @@ pub fn check_refutation(sys: &ChcSystem, r: &Refutation) -> Result<(), Refutatio
             .clauses
             .get(step.clause)
             .ok_or(RefutationError::BadClause(si))?;
+        let well_sorted = |&(v, id): &(VarId, TermId)| {
+            clause.vars.sort(v) == Some(r.pool.sort(&sys.sig, id))
+                && r.pool.well_sorted(&sys.sig, id)
+        };
+        if !r.steps[si].binding.iter().all(well_sorted) {
+            return Err(RefutationError::IllSorted(si));
+        }
         let bind: FxHashMap<VarId, &GroundTerm> =
             step.binding.iter().map(|(v, g)| (*v, g)).collect();
         let inst = |t: &Term| -> Option<GroundTerm> { instantiate(t, &bind) };
@@ -1776,6 +1885,89 @@ mod tests {
             other => panic!("expected refutation, got {other:?}"),
         };
         assert!(check_refutation(&sys, &r).is_ok());
+    }
+
+    #[test]
+    fn ill_sorted_certificates_are_rejected() {
+        // ∀x:Nat. p(x) and p(x) ∧ ¬Z?(x) ∧ ¬S?(x) → ⊥ is satisfiable:
+        // every Nat is Z or S. Binding x to nil : Lst fakes a refutation
+        // that passes every other replay check.
+        let sys = parse_str(
+            r#"
+            (declare-datatypes ((Nat 0) (Lst 0))
+              (((Z) (S (pre Nat))) ((nil) (cons (hd Nat) (tl Lst)))))
+            (declare-fun p (Nat) Bool)
+            (assert (forall ((x Nat)) (p x)))
+            (assert (forall ((x Nat))
+              (=> (and (p x) (not ((_ is Z) x)) (not ((_ is S) x))) false)))
+            "#,
+        )
+        .unwrap();
+        let p = sys.rels.by_name("p").unwrap();
+        let nil = sys.sig.func_by_name("nil").unwrap();
+        let x = |c: usize| sys.clauses[c].vars.vars().next().unwrap();
+        let mut pool = TermPool::new();
+        let t = pool.intern(nil, &[]);
+        let forged = Refutation {
+            pool,
+            steps: vec![
+                PooledStep {
+                    clause: 0,
+                    binding: vec![(x(0), t)],
+                    premises: vec![],
+                    fact: Some((p, vec![t])),
+                },
+                PooledStep {
+                    clause: 1,
+                    binding: vec![(x(1), t)],
+                    premises: vec![0],
+                    fact: None,
+                },
+            ],
+        };
+        assert_eq!(
+            check_refutation(&sys, &forged),
+            Err(RefutationError::IllSorted(0))
+        );
+    }
+
+    #[test]
+    fn equalities_open_on_both_sides_are_enumerated_then_checked() {
+        // Neither side of x = S(y) or S(x) = S(y) can be interned while
+        // x and y are free, so both variables range over the first four
+        // Nats and each pair is checked by id once bound.
+        let sys = parse_str(
+            r#"
+            (declare-datatypes ((Nat 0)) (((Z) (S (pre Nat)))))
+            (declare-fun q (Nat) Bool)
+            (declare-fun r (Nat Nat) Bool)
+            (assert (forall ((x Nat) (y Nat)) (=> (= x (S y)) (q x))))
+            (assert (forall ((x Nat) (y Nat)) (=> (= (S x) (S y)) (r x y))))
+            "#,
+        )
+        .unwrap();
+        let cfg = SaturationConfig {
+            free_var_candidates: 4,
+            ..SaturationConfig::default()
+        };
+        let (outcome, stats) = saturate_guarded(&sys, &cfg, &Guard::new());
+        let SaturationOutcome::Saturated(base) = outcome else {
+            panic!("expected saturation, got {outcome:?}");
+        };
+        let (q, r) = (
+            sys.rels.by_name("q").unwrap(),
+            sys.rels.by_name("r").unwrap(),
+        );
+        let z = sys.sig.func_by_name("Z").unwrap();
+        let s = sys.sig.func_by_name("S").unwrap();
+        let n = |k: usize| GroundTerm::iterate(s, GroundTerm::leaf(z), k);
+        // x = S(y) holds for three of the sixteen candidate pairs: S⁴(Z)
+        // is no candidate, so q(S⁴(Z)) is not derived.
+        let mut expected: Vec<Fact> = (1..4).map(|k| (q, vec![n(k)])).collect();
+        expected.extend((0..4).map(|k| (r, vec![n(k), n(k)])));
+        assert_eq!(base.ground_facts().collect::<Vec<_>>(), expected);
+        // One step per candidate: 4 for x, then 4 × 4 for y, per clause.
+        assert_eq!((stats.rounds, stats.steps, stats.candidates), (2, 40, 7));
     }
 
     #[test]

@@ -104,9 +104,11 @@ proptest! {
     }
 
     /// Cancel saturation alone at a random fuel level: the partial fact
-    /// base is a *prefix* of the uncancelled run's fact list (whole
-    /// in-flight rounds are discarded, never half-merged), and an
-    /// uncancelled re-run reproduces the fresh result exactly.
+    /// base is a *prefix* of the uncancelled run's fact list (a cancel
+    /// during the workers' matching discards the in-flight round whole;
+    /// one during the merge keeps the facts merged before it, in merge
+    /// order), and an uncancelled re-run reproduces the fresh result
+    /// exactly.
     #[test]
     fn cancelled_saturation_facts_are_a_prefix_of_the_full_run(
         which in 0usize..3,

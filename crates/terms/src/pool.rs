@@ -60,7 +60,6 @@ use crate::ground::GroundTerm;
 use crate::ids::{FuncId, SortId};
 use crate::intern::InternTable;
 use crate::signature::Signature;
-use crate::term::Term;
 
 /// Identifier of an interned ground term in a [`TermPool`].
 ///
@@ -302,27 +301,6 @@ impl TermPool {
                 frames.pop();
                 let children = values.split_off(values.len() - argc);
                 values.push(GroundTerm::app(self.func(id), children));
-            }
-        }
-        values.pop().expect("non-empty term")
-    }
-
-    /// Reconstructs an interned term as a variable-free [`Term`] (for
-    /// the substitution/unification machinery).
-    pub fn to_term(&self, t: TermId) -> Term {
-        let mut frames: Vec<(TermId, usize)> = vec![(t, 0)];
-        let mut values: Vec<Term> = Vec::with_capacity(16);
-        while let Some(frame) = frames.last_mut() {
-            let (id, next) = *frame;
-            let args = self.args(id);
-            if next < args.len() {
-                frame.1 += 1;
-                frames.push((args[next], 0));
-            } else {
-                let argc = args.len();
-                frames.pop();
-                let children = values.split_off(values.len() - argc);
-                values.push(Term::app(self.func(id), children));
             }
         }
         values.pop().expect("non-empty term")
@@ -752,15 +730,6 @@ mod tests {
         let bad = pool.intern(cons, &[zero, zero]);
         assert!(!pool.well_sorted(&sig, bad));
         assert!(pool.well_sorted(&sig, zero));
-    }
-
-    #[test]
-    fn to_term_produces_the_ground_term() {
-        let (_sig, _nat, z, s) = nat_signature();
-        let mut pool = TermPool::new();
-        let boxed = GroundTerm::iterate(s, GroundTerm::leaf(z), 2);
-        let id = pool.intern_term(&boxed);
-        assert_eq!(pool.to_term(id), Term::from(&boxed));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the automata-kernel + term-pool + parallel-saturation +
-# semi-naive-saturation + memoized-Boolean-algebra micro-bench suite
+# semi-naive-saturation + saturation-enumeration + memoized-Boolean-algebra
+# micro-bench suite
 # and records the results — including the interned-vs-reference
 # speedups (for the parallel_saturation group: 4-worker vs inline
 # sequential saturation on a multi-clause join system; for the
@@ -15,7 +16,11 @@
 # absolute >=10x floor; for the elem_cube group: one ADT cube check over
 # S^64 chains vs eight over S^8 chains, gated on an absolute >=0.5x
 # floor read from the current run alone, so a return to cube checks
-# super-linear in term depth fails even against an older baseline) and
+# super-linear in term depth fails even against an older baseline; for
+# the saturation_enum group: a 20k-fact tree saturation whose rule binds
+# a free head variable by enumeration vs one whose facts all come from
+# the body join, gated the same way on an absolute >=0.5x floor, so
+# enumeration through per-candidate substitutions fails it) and
 # the Dfta::step zero-allocation check — in BENCH_automata.json at the
 # repo root. Speedup ratios are measured
 # in-process and machine-portable, with one caveat: the

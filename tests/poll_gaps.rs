@@ -4,15 +4,17 @@
 //! about 20 ms in, and asserts the engine comes home interrupted within
 //! a bound. Each bound is generous for a debug build on a shared host
 //! (the polled regions return within a tenth of it), while the unpolled
-//! regions took more than ten times as long. The template sweeps are
-//! pinned by fuel instead: their candidates are too cheap for a
-//! wall-clock difference, so the test counts the candidates between two
-//! polls.
+//! regions took more than ten times as long. The template sweeps and
+//! the refuter's round merge are pinned by fuel instead: their
+//! candidates are too cheap for a wall-clock difference, so the tests
+//! count the candidates between two polls or find where the last poll
+//! lands.
 
 use std::time::{Duration, Instant};
 
 use ringen::benchgen::{programs, tip_suite, type_check_system, TypeExpr};
-use ringen::chc::ChcSystem;
+use ringen::chc::{parse_str, ChcSystem};
+use ringen::core::portfolio::{refute, refute_budget, EngineVerdict};
 use ringen::core::saturation::SaturationConfig;
 use ringen::core::{preprocess, Guard};
 use ringen::elem::{solve_elem_guarded, ElemConfig};
@@ -190,4 +192,67 @@ fn template_sweeps_poll_before_every_candidate() {
         assert!(a > 0, "{name}: fuel {fuel} ran out before the sweep");
         assert_eq!(b, a + 1, "{name}: one poll covered {} candidates", b - a);
     }
+}
+
+/// The refuter's round merge polls its guard. `p(leaf)` and
+/// `p(x) → p(node(x, y))` with `y` free grow eightfold per round, so
+/// the round that reaches the fact cap merges over a thousand
+/// candidates. A fuel guard one poll short of the uncancelled run's
+/// total trips at that run's last poll, which sits in the final merge:
+/// the refuter comes home interrupted with the facts merged before it,
+/// strictly between the previous round's facts and the full run's.
+/// Before the merge polled, the last poll sat in the final round's
+/// matching, whose deltas a trip discards whole, so this fuel level
+/// came home at the previous round's facts.
+#[test]
+fn refuter_merge_polls_the_guard() {
+    let sys = parse_str(
+        r#"
+        (declare-datatypes ((Tree 0)) (((leaf) (node (l Tree) (r Tree)))))
+        (declare-fun p (Tree) Bool)
+        (assert (p leaf))
+        (assert (forall ((x Tree) (y Tree)) (=> (p x) (p (node x y)))))
+        "#,
+    )
+    .expect("the tree system parses");
+    let cfg = SaturationConfig {
+        max_facts: 2_000,
+        ..refute_budget()
+    };
+    let run = |cfg: &SaturationConfig, guard: &Guard| {
+        let (verdict, _, stats) = refute(&sys, cfg, guard);
+        (verdict, stats)
+    };
+    let (_, full) = run(&cfg, &Guard::new());
+    let previous = SaturationConfig {
+        max_rounds: full.rounds - 1,
+        ..cfg.clone()
+    };
+    let before_last = run(&previous, &Guard::new()).1.facts;
+    // The least fuel that lets the run finish: one poll more than the
+    // run makes, since the poll that finds the tank empty trips.
+    let interrupted =
+        |fuel: u64| run(&cfg, &Guard::with_fuel(fuel)).0 == EngineVerdict::Interrupted;
+    let mut hi = 1u64;
+    while interrupted(hi) {
+        hi *= 2;
+    }
+    let mut lo = hi / 2;
+    while lo + 1 < hi {
+        let mid = (lo + hi) / 2;
+        if interrupted(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let (verdict, cut) = run(&cfg, &Guard::with_fuel(hi - 1));
+    assert_eq!(verdict, EngineVerdict::Interrupted);
+    assert!(
+        before_last < cut.facts && cut.facts < full.facts,
+        "cancelled at the last poll with {} facts; the final round starts at {before_last} \
+         and ends at {}",
+        cut.facts,
+        full.facts
+    );
 }
